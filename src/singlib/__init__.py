@@ -33,6 +33,7 @@ from .certificates import (
 )
 from .errors import (
     ArityMismatchError,
+    ConsistencyCheckError,
     ConstraintViolationError,
     InvalidFNMError,
     NotARootError,

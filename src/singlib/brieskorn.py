@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from .errors import ConsistencyCheckError
 from .newton import NewtonPolyhedron, phi_value
 from .poly import ExpVec, SparsePoly, weighted_degree
 
@@ -75,7 +76,8 @@ def euler_relation(f: SparsePoly, a, w) -> EulerRelation:
         raise ValueError("exponent and weights must match the variable count")
     if any(x <= 0 for x in w):
         raise ValueError("weights must be positive")
-    assert _contraction_identity_holds(f, a, w)
+    if not _contraction_identity_holds(f, a, w):
+        raise ConsistencyCheckError("contraction identity fails for this weight field")
     one = (1,) * f.nvars
     c = weighted_degree(tuple(ai + o for ai, o in zip(a, one)), w)
     xa = SparsePoly.monomial(f.nvars, a)

@@ -3,7 +3,9 @@
 The central object is the filtered nilpotent module (FNM): a finite
 dimensional rational vector space M with a nilpotent operator N and an
 exhaustive increasing filtration G preserved by N, G_j = 0 for j < 0.  The
-checkers answer, entirely by exact subspace arithmetic:
+checkers answer, entirely by exact subspace arithmetic on image chains
+(the echelon bases of V, N(V), N^2(V), ... down to 0 for an N-stable V,
+each one N applied to the previous basis; no power of N is ever formed):
 
 * the dimensions of the graded pieces Gr^G_j M and Gr^G_j (M / NM), the
   induced nilpotency order on each graded piece, and the global nilpotency
@@ -28,14 +30,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidFNMError, NotARootError, PreconditionError
+from .errors import ConsistencyCheckError, InvalidFNMError, NotARootError, PreconditionError
 from .linalg import (
     Vec,
     echelon_basis,
-    mat_pow,
     mat_vec,
-    rank,
-    subspace_contains,
     subspace_intersection,
     subspace_sum,
 )
@@ -128,7 +127,8 @@ def delta_matching(a: AnnotatedSpectrum, b) -> tuple[int, ...] | None:
     sigma, _ = res
     for k, l in enumerate(sigma):  # re-verify the defect constraints post hoc
         d = alphas[k] - a.r_annotations[k] - betas[l]
-        assert d.denominator == 1 and d >= 0
+        if d.denominator != 1 or d < 0:
+            raise ConsistencyCheckError(f"matched defect {d} is not a non-negative integer")
     return tuple(sigma)
 
 
@@ -169,15 +169,15 @@ class FilteredNilpotentModule:
         levels = [lvl for lvl, _ in self.G]
         if len(set(levels)) != len(levels):
             raise InvalidFNMError("duplicate filtration level")
-        if rank([row for row in mat_pow(self.N, self.dim)]) != 0:
-            raise InvalidFNMError("N is not nilpotent")
+        identity = [[int(i == j) for j in range(self.dim)] for i in range(self.dim)]
+        _chain(self.N, identity)  # raises unless N is nilpotent
         top = self.level_basis(self.max_level())
         if len(top) != self.dim:
             raise InvalidFNMError("filtration is not exhaustive")
         for lvl, _ in self.G:
             basis = self.level_basis(lvl)
             image = [mat_vec(self.N, v) for v in basis]
-            if not subspace_contains(basis, echelon_basis(image)):
+            if len(subspace_sum(basis, image)) != len(basis):
                 raise InvalidFNMError(f"N does not preserve G_{lvl}")
 
     def max_level(self) -> int:
@@ -192,21 +192,24 @@ class FilteredNilpotentModule:
         return self.level_basis(self.max_level())
 
 
-def _image(N, basis: list[Vec]) -> list[Vec]:
-    return echelon_basis([mat_vec(N, v) for v in basis])
+def _chain(N, basis: list[Vec]) -> list[list[Vec]]:
+    """Echelon bases of V, N(V), N^2(V), ... down to 0, for V = span(basis).
+
+    V must be N-stable, so that the images are nested: if the dimension
+    stops falling above 0, N is invertible on that image and not nilpotent.
+    """
+    chain = [echelon_basis(basis)]
+    while chain[-1]:
+        image = echelon_basis([mat_vec(N, v) for v in chain[-1]])
+        if len(image) == len(chain[-1]):
+            raise InvalidFNMError("N is not nilpotent")
+        chain.append(image)
+    return chain
 
 
-def _npower_image(M: FilteredNilpotentModule, k: int, basis: list[Vec]) -> list[Vec]:
-    Nk = mat_pow(M.N, k)
-    return echelon_basis([mat_vec(Nk, v) for v in basis])
-
-
-def nilpotency_order(M: FilteredNilpotentModule) -> int:
-    """min { k : N^k = 0 } on the whole module."""
-    k = 0
-    while rank(mat_pow(M.N, k)) > 0:
-        k += 1
-    return k
+def _power_image(chain: list[list[Vec]], k: int) -> list[Vec]:
+    """Basis of N^k(V) from the chain of V; 0 once k passes its end."""
+    return chain[min(k, len(chain) - 1)]
 
 
 @dataclass(frozen=True)
@@ -216,6 +219,12 @@ class LevelReport:
     dim_gr: int
     dim_gr_coinvariants: int
     nilpotency_order: int  # induced N on Gr^G_level; 0 on a zero piece
+
+
+@dataclass(frozen=True)
+class Question1Result:
+    answer: str  # POSITIVE or NEGATIVE
+    via_max_multiplicity: bool  # the maximal-multiplicity shortcut applied
 
 
 @dataclass(frozen=True)
@@ -230,69 +239,70 @@ class FNMReport:
     def jordan_mismatch(self) -> bool:
         return self.jordan_ambient != self.jordan_graded
 
+    def question1(self, j: int) -> Question1Result:
+        """Does the graded piece at level j survive in the N-coinvariants?
+
+        Raises NotARootError when Gr^G_j M = 0 (then there is nothing to
+        ask).  The shortcut flag records when the induced nilpotency order
+        at level j equals the global one, which forces a positive answer.
+        """
+        level = next((l for l in self.levels if l.level == j), None)
+        if level is None or level.dim_gr == 0:
+            raise NotARootError(f"graded piece at level {j} vanishes")
+        answer = POSITIVE if level.dim_gr_coinvariants > 0 else NEGATIVE
+        shortcut = level.nilpotency_order == self.m_tilde
+        if shortcut and answer != POSITIVE:
+            raise ConsistencyCheckError("maximal multiplicity must force POSITIVE")
+        return Question1Result(answer, shortcut)
+
 
 def _jordan_from_ranks(ranks: list[int]) -> tuple[int, ...]:
-    """Partition of Jordan block sizes from ranks of the powers N^0, N^1, ..."""
-    blocks = []
-    kmax = len(ranks) - 1
-    for k in range(1, kmax + 1):
-        r_prev = ranks[k - 1]
-        r_k = ranks[k]
-        r_next = ranks[k + 1] if k + 1 < len(ranks) else 0
-        count = r_prev - 2 * r_k + r_next
-        blocks.extend([k] * count)
-    return tuple(sorted(blocks, reverse=True))
+    """Jordan block sizes, largest first, from the ranks of N^0, N^1, ..., 0.
+
+    r_(k-1) - 2 r_k + r_(k+1) blocks have size exactly k.
+    """
+    r = list(ranks) + [0]
+    return tuple(k for k in range(len(ranks) - 1, 0, -1)
+                 for _ in range(r[k - 1] - 2 * r[k] + r[k + 1]))
+
+
+def fnm_report(M: FilteredNilpotentModule) -> FNMReport:
+    """Dimension, coinvariant, nilpotency and Jordan data, in one pass.
+
+    At level j, the piece ranks dim(N^k G_j + G_{j-1}) - dim G_{j-1} up to
+    the first 0 are the ranks of the powers of the induced map on Gr_j.
+    """
+    ambient_chain = _chain(M.N, M.full_basis())
+    ambient = _jordan_from_ranks([len(img) for img in ambient_chain])
+    n_image = ambient_chain[1]  # dim M > 0, so the chain has two entries
+    levels = []
+    graded: list[int] = []
+    prev_plus_im = len(n_image)
+    below: list[Vec] = []
+    for lvl, _ in M.G:
+        basis = M.level_basis(lvl)
+        piece_ranks = []
+        for img in _chain(M.N, basis):
+            r = len(subspace_sum(img, below)) - len(below)
+            piece_ranks.append(r)
+            if r == 0:
+                break
+        graded.extend(_jordan_from_ranks(piece_ranks))
+        plus_im = len(subspace_sum(basis, n_image))
+        levels.append(LevelReport(lvl, len(basis), piece_ranks[0], plus_im - prev_plus_im,
+                                  len(piece_ranks) - 1))
+        prev_plus_im = plus_im
+        below = basis
+    if sum(l.dim_gr for l in levels) != M.dim:
+        raise ConsistencyCheckError("graded dimensions do not telescope to dim M")
+    return FNMReport(M.dim, ambient[0], tuple(levels), ambient,
+                     tuple(sorted(graded, reverse=True)))
 
 
 def jordan_types(M: FilteredNilpotentModule) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Jordan types of N on M and of the induced maps on the graded pieces."""
-    m = nilpotency_order(M)
-    ranks = [rank(mat_pow(M.N, k)) for k in range(m + 1)]
-    ambient = _jordan_from_ranks(ranks)
-    graded: list[int] = []
-    prev: list[Vec] = []
-    for lvl, _ in M.G:
-        basis = M.level_basis(lvl)
-        below = prev
-        dim_below = len(below)
-        piece_ranks = []
-        k = 0
-        while True:
-            img = _npower_image(M, k, basis)
-            r = len(subspace_sum(img, below)) - dim_below
-            piece_ranks.append(r)
-            if r == 0:
-                break
-            k += 1
-        graded.extend(_jordan_from_ranks(piece_ranks))
-        prev = basis
-    return ambient, tuple(sorted(graded, reverse=True))
-
-
-def fnm_report(M: FilteredNilpotentModule) -> FNMReport:
-    """Dimension, coinvariant, and nilpotency data of every graded piece."""
-    n_image = _image(M.N, M.full_basis())
-    levels = []
-    prev_dim = 0
-    prev_plus_im = len(n_image)
-    prev_basis: list[Vec] = []
-    for lvl, _ in M.G:
-        basis = M.level_basis(lvl)
-        dim_g = len(basis)
-        dim_gr = dim_g - prev_dim
-        plus_im = len(subspace_sum(basis, n_image))
-        dim_gr_coinv = plus_im - prev_plus_im
-        # induced nilpotency order on Gr_lvl: least k with N^k G_lvl inside G_<lvl
-        k = 0
-        while not subspace_contains(prev_basis, _npower_image(M, k, basis)):
-            k += 1
-        levels.append(LevelReport(lvl, dim_g, dim_gr, dim_gr_coinv, k))
-        prev_dim = dim_g
-        prev_plus_im = plus_im
-        prev_basis = basis
-    assert sum(l.dim_gr for l in levels) == M.dim  # filtration telescoping
-    ambient, graded = jordan_types(M)
-    return FNMReport(M.dim, nilpotency_order(M), tuple(levels), ambient, graded)
+    report = fnm_report(M)
+    return report.jordan_ambient, report.jordan_graded
 
 
 def strictness_check(M: FilteredNilpotentModule) -> bool:
@@ -302,38 +312,19 @@ def strictness_check(M: FilteredNilpotentModule) -> bool:
 
 def power_strictness(M: FilteredNilpotentModule, k: int) -> bool:
     """Strict compatibility of N^k with the filtration."""
-    full_image = _npower_image(M, k, M.full_basis())
+    full_image = _power_image(_chain(M.N, M.full_basis()), k)
     for lvl, _ in M.G:
         basis = M.level_basis(lvl)
         lhs = subspace_intersection(full_image, basis)
-        rhs = _npower_image(M, k, basis)
+        rhs = _power_image(_chain(M.N, basis), k)
         if len(lhs) != len(rhs):
             return False
     return True
 
 
-@dataclass(frozen=True)
-class Question1Result:
-    answer: str  # POSITIVE or NEGATIVE
-    via_max_multiplicity: bool  # the maximal-multiplicity shortcut applied
-
-
 def question1_verdict(M: FilteredNilpotentModule, j: int) -> Question1Result:
-    """Does the graded piece at level j survive in the N-coinvariants?
-
-    Raises NotARootError when Gr^G_j M = 0 (then there is nothing to ask).
-    The shortcut flag records when the induced nilpotency order at level j
-    equals the global one, which forces a positive answer.
-    """
-    report = fnm_report(M)
-    level = next((l for l in report.levels if l.level == j), None)
-    if level is None or level.dim_gr == 0:
-        raise NotARootError(f"graded piece at level {j} vanishes")
-    answer = POSITIVE if level.dim_gr_coinvariants > 0 else NEGATIVE
-    shortcut = level.nilpotency_order == report.m_tilde
-    if shortcut:
-        assert answer == POSITIVE, "maximal multiplicity must force POSITIVE"
-    return Question1Result(answer, shortcut)
+    """``fnm_report(M).question1(j)``; see ``FNMReport.question1``."""
+    return fnm_report(M).question1(j)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import sys
 
 from . import certificates, family, milnor, newton, spectrum
 from .errors import (
+    ConsistencyCheckError,
     ConstraintViolationError,
     PolyParseError,
     PreconditionError,
@@ -194,7 +195,7 @@ def _cmd_newton(args) -> int:
     return OK
 
 
-def _spectrum_auto(f, flags_needed=True):
+def _spectrum_auto(f):
     w = weighted_homogeneity(f)
     if w is not None:
         return spectrum.spectrum_wh(f, w)
@@ -267,7 +268,7 @@ def _cmd_fnm_check(args) -> int:
         "jordan_mismatch": rep.jordan_mismatch,
     }
     if args.j is not None:
-        q = certificates.question1_verdict(M, args.j)
+        q = rep.question1(args.j)
         obj["question1"] = {
             "j": args.j,
             "answer": q.answer,
@@ -321,8 +322,6 @@ def _cmd_verify(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    common.add_argument("--json", action="store_true", default=True,
-                        help="emit JSON (the default)")
     common.add_argument("--pretty", action="store_true",
                         help="render a human-readable view instead of JSON")
     common.add_argument("--jet-cap", type=int, default=None,
@@ -399,7 +398,7 @@ def main(argv=None) -> int:
     except ConstraintViolationError as e:
         print(json.dumps({"valid": False, "violations": e.violations}, indent=2))
         return BAD_INPUT
-    except SpectrumCountMismatchError as e:
+    except (ConsistencyCheckError, SpectrumCountMismatchError) as e:
         print(f"error: {e}", file=sys.stderr)
         return CHECK_FAILED
     except (PolyParseError, PreconditionError, SingError, OSError, ValueError) as e:

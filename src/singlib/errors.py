@@ -46,6 +46,11 @@ class SpectrumCountMismatchError(SingError):
     """
 
 
+class ConsistencyCheckError(SingError):
+    """A computed result failed a check that guards it (an ``assert`` would
+    vanish under ``python -O``)."""
+
+
 class InvalidFNMError(SingError):
     """A filtered nilpotent module violates its structural invariants."""
 

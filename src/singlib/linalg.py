@@ -18,6 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .errors import ConsistencyCheckError
+
 Vec = tuple[Fraction, ...]
 
 
@@ -68,17 +70,8 @@ def rank(vectors: list) -> int:
     return len(echelon_basis(vectors))
 
 
-def in_span(v, basis: list[Vec]) -> bool:
-    return rank(list(basis) + [_as_vec(v)]) == len(echelon_basis(list(basis)))
-
-
 def subspace_sum(a: list[Vec], b: list[Vec]) -> list[Vec]:
     return echelon_basis(list(a) + list(b))
-
-
-def subspace_contains(big: list[Vec], small: list[Vec]) -> bool:
-    big_e = echelon_basis(list(big))
-    return all(in_span(v, big_e) for v in small)
 
 
 def nullspace(rows: list) -> list[Vec]:
@@ -145,20 +138,6 @@ def solve_linear(rows: list, rhs: list) -> tuple[Vec, list[Vec]] | None:
 def mat_vec(m: list, v) -> Vec:
     v = _as_vec(v)
     return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in m)
-
-
-def mat_mul(a: list, b: list) -> list[Vec]:
-    bt = list(zip(*[_as_vec(r) for r in b]))
-    return [tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt) for row in a]
-
-
-def mat_pow(m: list, k: int) -> list[Vec]:
-    n = len(m)
-    out = [tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)]
-    base = [_as_vec(r) for r in m]
-    for _ in range(k):
-        out = mat_mul(out, base)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +251,11 @@ def feasible_point(constraints: list, nvars: int) -> list[Fraction] | None:
         elif lo == hi and not lo_strict and not hi_strict:
             point[k] = lo
         else:  # pragma: no cover - contradicts FM feasibility
-            raise AssertionError("Fourier-Motzkin back-substitution failed")
+            raise ConsistencyCheckError("Fourier-Motzkin back-substitution failed")
     for coeffs, rhs, strict in system:
         val = sum((c * x for c, x in zip(coeffs, point)), Fraction(0))
-        assert val > rhs or (val == rhs and not strict)
+        if not (val > rhs or (val == rhs and not strict)):
+            raise ConsistencyCheckError("feasibility witness violates a constraint")
     return point
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
 
-from .errors import PreconditionError
+from .errors import ConsistencyCheckError, PreconditionError
 from .linalg import rank
 from .poly import ExpVec, SparsePoly, partials
 
@@ -255,10 +255,12 @@ def normal_form(
     if not basis.finite:
         raise PreconditionError(f"normal_form requires a finite Milnor algebra ({basis.status})")
     red = basis._reducer
-    assert red is not None and red.ideal_degree is not None
+    if red is None or red.ideal_degree is None:
+        raise ConsistencyCheckError("finite basis carries no certified reducer")
     q = {e: c for e, c in p.terms.items() if sum(e) < red.ideal_degree}
     nf = red.normal_form(q)
-    assert all(m in basis.staircase for m in nf)
+    if any(m not in basis.staircase for m in nf):
+        raise ConsistencyCheckError("normal form leaves the staircase")
     return SparsePoly(p.nvars, nf)
 
 

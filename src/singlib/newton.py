@@ -22,7 +22,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .errors import NotConvenientError, PreconditionError, UnsupportedDimensionError
+from .errors import (ConsistencyCheckError, NotConvenientError, PreconditionError,
+                     UnsupportedDimensionError)
 from .linalg import feasible_point, hermite_basis, lattice_coords, solve_linear
 from .milnor import _Reducer, _monomials_upto, negdegrevlex_key
 from .poly import ExpVec, SparsePoly
@@ -88,6 +89,8 @@ def phi_value(P: NewtonPolyhedron, p) -> Fraction:
     if not P.facets:
         raise PreconditionError("polyhedron has no compact facets")
     p = tuple(Fraction(x) for x in p)
+    if len(p) != P.nvars:
+        raise PreconditionError(f"phi_value needs a point with {P.nvars} coordinates")
     if any(x < 0 for x in p):
         raise PreconditionError("phi_value needs a non-negative point")
     return min(F.value(p) for F in P.facets)
@@ -184,7 +187,8 @@ def _face_lattice_poly(f: SparsePoly, face: frozenset[ExpVec]) -> SparsePoly:
     for a in pts:
         v = tuple(p - q for p, q in zip(a, a0))
         c = lattice_coords(basis, v) if d else ()
-        assert c is not None
+        if c is None:
+            raise ConsistencyCheckError(f"support point {a} is off the face lattice")
         coords.append(c)
     if d == 0:
         return SparsePoly.constant(0, f.terms[a0])
@@ -378,5 +382,6 @@ def newton_number(f: SparsePoly) -> int:
             else:
                 vk_scaled += _volume6_under_diagram(P)
         total += sign * vk_scaled
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise ConsistencyCheckError(f"Newton number {total} is not an integer")
     return int(total)

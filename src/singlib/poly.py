@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ArityMismatchError, PolyParseError
+from .errors import ArityMismatchError, ConsistencyCheckError, PolyParseError
 from .linalg import feasible_point, solve_linear
 
 ExpVec = tuple[int, ...]
@@ -392,7 +392,8 @@ def weighted_homogeneity(f: SparsePoly) -> Weights | None:
     w = list(particular)
     for coef, b in zip(t, null):
         w = [wi + coef * bi for wi, bi in zip(w, b)]
-    assert all(x > 0 for x in w)
+    if any(x <= 0 for x in w):
+        raise ConsistencyCheckError("weight witness is not positive")
     return tuple(w)
 
 

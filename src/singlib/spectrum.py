@@ -13,7 +13,7 @@ Three constructors, each guarded by the cardinality |Sp| = mu:
 
 Every constructed spectrum satisfies: values strictly inside (0, n),
 multiplicity(alpha) = multiplicity(n - alpha), and sum = n * mu / 2.  The
-constructors assert all three.
+constructors check all three.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import (
+    ConsistencyCheckError,
     NotWeightedHomogeneousError,
     PreconditionError,
     SpectrumCountMismatchError,
@@ -62,8 +63,10 @@ class Spectrum:
 
 def _validated(values, nvars: int, mu: int | None = None) -> Spectrum:
     s = Spectrum(tuple(values), nvars)
-    assert s.is_symmetric(), "spectrum symmetry violated"
-    assert 2 * s.checksum() == nvars * len(s), "spectrum sum rule violated"
+    if not s.is_symmetric():
+        raise ConsistencyCheckError("spectrum symmetry violated")
+    if 2 * s.checksum() != nvars * len(s):
+        raise ConsistencyCheckError("spectrum sum rule violated")
     if mu is not None and len(s) != mu:
         raise SpectrumCountMismatchError(
             f"spectrum has {len(s)} values, Milnor number is {mu}"

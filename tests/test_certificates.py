@@ -163,6 +163,9 @@ def test_jordan_block_trivial_filtration():
 def test_invalid_fnm_rejected():
     with pytest.raises(InvalidFNMError):  # not nilpotent
         FilteredNilpotentModule(1, ((1,),), ((0, ((1,),)),))
+    with pytest.raises(InvalidFNMError):  # image dims 3, 2, 1, 1: stops falling above 0
+        FilteredNilpotentModule(3, ((0, 1, 0), (0, 0, 0), (0, 0, 1)),
+                                ((0, ((1, 0, 0), (0, 1, 0), (0, 0, 1))),))
     with pytest.raises(InvalidFNMError):  # filtration not exhaustive
         FilteredNilpotentModule(2, ((0, 0), (0, 0)), ((0, ((1, 0),)),))
     with pytest.raises(InvalidFNMError):  # N does not preserve G_0
@@ -231,6 +234,34 @@ def _dense_rank(rows):
                 m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def _ref_power(N, k):
+    """N^k by repeated products: the reference for the image chain."""
+    n = len(N)
+    out = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(k):
+        out = [[sum((out[i][t] * N[t][j] for t in range(n)), F(0)) for j in range(n)]
+               for i in range(n)]
+    return out
+
+
+@given(random_fnm())
+@settings(max_examples=100, deadline=None)
+def test_report_matches_matrix_powers(M):
+    rep = fnm_report(M)
+    powers = [_ref_power(M.N, k) for k in range(M.dim + 1)]
+    ranks = [_dense_rank(P) for P in powers]
+    assert rep.m_tilde == next(k for k, r in enumerate(ranks) if r == 0)
+    for k, r in enumerate(ranks):
+        assert r == sum(max(b - k, 0) for b in rep.jordan_ambient)
+    below: list = []
+    for lv in rep.levels:
+        basis = M.level_basis(lv.level)
+        images = [[mat_vec(P, v) for v in basis] for P in powers]  # N^k G_j
+        assert lv.nilpotency_order == next(
+            k for k, img in enumerate(images) if _dense_rank(below + img) == _dense_rank(below))
+        below = list(basis)
 
 
 @given(random_fnm())

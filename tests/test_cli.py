@@ -1,5 +1,6 @@
 import json
 
+from singlib import ConsistencyCheckError, family
 from singlib.certificates import fnm_to_json
 from singlib.cli import main
 
@@ -31,6 +32,15 @@ def test_milnor_non_isolated_exit_code(capsys):
     assert json.loads(out)["status"] == "NON_ISOLATED"
 
 
+def test_failed_consistency_check_exit_code(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ConsistencyCheckError("spectrum sum rule violated")
+    monkeypatch.setattr(family, "negative_answer_pipeline", broken)
+    code, _, err = run(capsys, "family", "certify", "7", "3", "5")
+    assert code == 1
+    assert "sum rule" in err
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "milnor", "x^", "--vars", "x")
     assert code == 2
@@ -53,6 +63,10 @@ def test_newton_subcommands(capsys):
     code, out, _ = run(capsys, "newton", "x^14+y^14-x^6*y^6+z^5", "--vars", "x,y,z",
                         "--phi", "10,3,2")
     assert json.loads(out)["phi"] == "7/5"
+
+    code, _, err = run(capsys, "newton", "x^14+y^14-x^6*y^6+z^5", "--vars", "x,y,z",
+                       "--phi", "1,1")
+    assert code == 2 and "3 coordinates" in err
 
 
 def test_spectrum_methods(capsys):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from singlib import (
     NotConvenientError,
+    PreconditionError,
     UnsupportedDimensionError,
     compact_faces,
     milnor_basis,
@@ -92,6 +93,9 @@ def test_phi_values_on_g(g):
     assert phi_value(P, (10, 3, 2)) == 1 + F(12, 30)
     assert phi_value(P, (19, 5, 3)) == 2 + F(13, 30)
     assert phi_value(P, (28, 7, 4)) == F(52, 15)
+    for short_or_long in ((1, 1), (1, 1, 1, 1)):
+        with pytest.raises(PreconditionError):
+            phi_value(P, short_or_long)
 
 
 def test_phi_on_support_points(h, g):
