@@ -31,13 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyCheckError, InvalidFNMError, NotARootError, PreconditionError
-from .linalg import (
-    Vec,
-    echelon_basis,
-    mat_vec,
-    subspace_intersection,
-    subspace_sum,
-)
+from .linalg import Vec, echelon_basis, mat_vec, rank, subspace_sum
 from .matching import min_cost_perfect_matching
 from .ratio import rat_from_str, rat_to_str
 from .spectrum import Spectrum
@@ -184,7 +178,11 @@ class FilteredNilpotentModule:
         return max(lvl for lvl, _ in self.G)
 
     def level_basis(self, j: int) -> list[Vec]:
-        """Canonical basis of G_j (empty for j < 0)."""
+        """An echelon basis of G_j (empty for j < 0).
+
+        It is not reduced: the checkers read only dimensions and images
+        under N, which any basis gives.
+        """
         vecs = [v for lvl, spans in self.G if lvl <= j for v in spans]
         return echelon_basis(vecs)
 
@@ -311,13 +309,15 @@ def strictness_check(M: FilteredNilpotentModule) -> bool:
 
 
 def power_strictness(M: FilteredNilpotentModule, k: int) -> bool:
-    """Strict compatibility of N^k with the filtration."""
+    """Strict compatibility of N^k with the filtration.
+
+    dim(N^k M & G_j) is read as dim N^k M + dim G_j - dim(N^k M + G_j).
+    """
     full_image = _power_image(_chain(M.N, M.full_basis()), k)
     for lvl, _ in M.G:
         basis = M.level_basis(lvl)
-        lhs = subspace_intersection(full_image, basis)
-        rhs = _power_image(_chain(M.N, basis), k)
-        if len(lhs) != len(rhs):
+        meet = len(full_image) + len(basis) - rank(full_image + basis)
+        if meet != len(_power_image(_chain(M.N, basis), k)):
             return False
     return True
 
@@ -361,6 +361,6 @@ def fnm_from_json(text: str) -> FilteredNilpotentModule:
             )
             for entry in obj["G"]
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise InvalidFNMError(f"malformed FNM object: {e}") from e
     return FilteredNilpotentModule(dim, N, G)

@@ -5,7 +5,7 @@
     sing spectrum <poly> --vars ... --method wh|newton2d|ts [--with <poly2> --with-vars ...]
     sing bfun <poly> --vars ...            (weighted homogeneous only)
     sing fnm check <file.json> [--j N]
-    sing family make a b c | sweep --bmax B | certify a b c [--out FILE]
+    sing family make a b c | sweep --bmax B [--certify] | certify a b c [--out FILE]
     sing verify-paper [--item ID]
 
 JSON on stdout is the single source of truth; --pretty renders a
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from . import certificates, family, milnor, newton, spectrum
 from .errors import (
@@ -134,8 +135,12 @@ def _render_cert(obj: dict) -> str:
 def _render_sweep(obj: dict) -> str:
     lines = [f"instances with b <= {obj['bmax']}:"]
     for inst in obj["instances"]:
-        lines.append(f"  a={inst['a']} b={inst['b']} c={inst['c']}")
+        status = f"  {inst['status']} {inst.get('failed_step', '')}" if "status" in inst else ""
+        lines.append(f"  a={inst['a']} b={inst['b']} c={inst['c']}{status}".rstrip())
     lines.append(f"near misses: {len(obj['near_misses'])}")
+    for key in ("status_counts", "failed_step_counts"):
+        if key in obj:
+            lines.append(f"{key}: " + json.dumps(obj[key]))
     return "\n".join(lines)
 
 
@@ -297,8 +302,20 @@ def _cmd_family_make(args) -> int:
 
 def _cmd_family_sweep(args) -> int:
     obj = family.sweep_families(args.bmax)
+    if not args.certify:
+        _emit(obj, args.pretty, _render_sweep)
+        return OK
+    for inst in obj["instances"]:
+        cert = family.negative_answer_pipeline(family.make_family(inst["a"], inst["b"], inst["c"]))
+        inst["status"] = cert["status"]
+        if "failed_step" in cert:
+            inst["failed_step"] = cert["failed_step"]
+    statuses = Counter(inst["status"] for inst in obj["instances"])
+    obj["status_counts"] = dict(sorted(statuses.items()))
+    obj["failed_step_counts"] = dict(sorted(Counter(
+        inst["failed_step"] for inst in obj["instances"] if "failed_step" in inst).items()))
     _emit(obj, args.pretty, _render_sweep)
-    return OK
+    return CHECK_FAILED if statuses["INCONCLUSIVE"] else OK
 
 
 def _cmd_family_certify(args) -> int:
@@ -324,14 +341,15 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--pretty", action="store_true",
                         help="render a human-readable view instead of JSON")
-    common.add_argument("--jet-cap", type=int, default=None,
-                        help="degree cap for jet truncation")
+    jets = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    jets.add_argument("--jet-cap", type=int, default=None,
+                      help="degree cap for jet truncation")
 
     ap = argparse.ArgumentParser(prog="sing", description=__doc__, allow_abbrev=False,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("milnor", parents=[common], help="Milnor number and staircase")
+    p = sub.add_parser("milnor", parents=[common, jets], help="Milnor number and staircase")
     p.add_argument("poly")
     p.add_argument("--vars", required=True, help="comma-separated variable names")
     p.set_defaults(fn=_cmd_milnor)
@@ -375,8 +393,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pm.set_defaults(fn=_cmd_family_make)
     ps = fam_sub.add_parser("sweep", parents=[common], allow_abbrev=False)
     ps.add_argument("--bmax", type=int, required=True)
+    ps.add_argument("--certify", action="store_true",
+                    help="certify every instance; exit 1 if any is inconclusive")
     ps.set_defaults(fn=_cmd_family_sweep)
-    pc = fam_sub.add_parser("certify", parents=[common], allow_abbrev=False)
+    pc = fam_sub.add_parser("certify", parents=[common, jets], allow_abbrev=False)
     pc.add_argument("a", type=int)
     pc.add_argument("b", type=int)
     pc.add_argument("c", type=int)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from . import brieskorn, certificates, milnor, newton, spectrum
@@ -411,49 +412,34 @@ def _golden_items():
     """The golden checks, lazily evaluated against a shared context."""
 
     class Ctx:
-        def __init__(self):
-            self._cache = {}
-
-        def get(self, key, fn):
-            if key not in self._cache:
-                self._cache[key] = fn()
-            return self._cache[key]
-
-        @property
+        @cached_property
         def h(self):
-            return self.get("h", lambda: parse_poly("x^14+y^14-x^6*y^6", ["x", "y"]))
+            return parse_poly("x^14+y^14-x^6*y^6", ["x", "y"])
 
-        @property
+        @cached_property
         def g(self):
-            return self.get("g", lambda: parse_poly("x^14+y^14-x^6*y^6+z^5", ["x", "y", "z"]))
+            return parse_poly("x^14+y^14-x^6*y^6+z^5", ["x", "y", "z"])
 
-        @property
+        @cached_property
         def basis_h(self):
-            return self.get("basis_h", lambda: milnor.milnor_basis(self.h))
+            return milnor.milnor_basis(self.h)
 
-        @property
+        @cached_property
         def sp_h(self):
-            return self.get("sp_h", lambda: spectrum.spectrum_newton_2d(self.h, basis=self.basis_h))
+            return spectrum.spectrum_newton_2d(self.h, basis=self.basis_h)
 
-        @property
+        @cached_property
         def sp_g(self):
-            return self.get(
-                "sp_g",
-                lambda: spectrum.thom_sebastiani(
-                    self.sp_h,
-                    spectrum.spectrum_wh(SparsePoly.monomial(1, (5,)), (Fraction(1, 5),)),
-                ),
-            )
+            return spectrum.thom_sebastiani(
+                self.sp_h, spectrum.spectrum_wh(SparsePoly.monomial(1, (5,)), (Fraction(1, 5),)))
 
-        @property
+        @cached_property
         def P_g(self):
-            return self.get("P_g", lambda: newton.newton_polyhedron(self.g))
+            return newton.newton_polyhedron(self.g)
 
-        @property
+        @cached_property
         def cert(self):
-            return self.get(
-                "cert", lambda: negative_answer_pipeline(make_family(7, 3, 5))
-            )
+            return negative_answer_pipeline(make_family(7, 3, 5))
 
     ctx = Ctx()
 

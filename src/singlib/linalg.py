@@ -2,21 +2,24 @@
 
 Three layers, all float-free:
 
-* dense reduced row echelon form over ``Fraction`` with the usual
-  derived operations (solve, nullspace, subspace sum/intersection);
+* one row-reduction kernel, ``Echelon``: fraction-free (Bareiss-style)
+  elimination of sparse integer rows keyed by column, with the dense
+  operations built on it (rank, echelon basis, subspace sum, nullspace,
+  solve);
 * a strict-inequality feasibility solver (Fourier-Motzkin elimination
   with exact back-substituted witnesses), used for positive-weight and
   face-supporting-functional queries;
 * integer lattice utilities (row-style Hermite reduction) for monomial
   changes of coordinates.
 
-Vectors are tuples or lists of ``Fraction``; matrices are lists of rows.
+Dense vectors are tuples or lists of ints or ``Fraction``; matrices are
+lists of rows.  Results are tuples of ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ConsistencyCheckError
 
@@ -28,111 +31,181 @@ def _as_vec(v) -> Vec:
 
 
 # ---------------------------------------------------------------------------
-# dense RREF and friends
+# fraction-free elimination
 
 
-def rref(rows: list) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
-    mat = [list(_as_vec(r)) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    for r in mat:
+def int_row(row: dict) -> dict:
+    """Scale a sparse rational row to integers by the lcm of its denominators,
+    dropping zero entries."""
+    den = 1
+    for c in row.values():
+        den = lcm(den, c.denominator)
+    return {k: c.numerator * (den // c.denominator) for k, c in row.items() if c}
+
+
+class Echelon:
+    """Echelon form of sparse integer rows, kept fraction-free.
+
+    A row is a dict from a key (a column index, a monomial, ...) to a
+    nonzero int.  ``order`` is a sort key on keys (None: the keys' own
+    order); a row's leading key is its smallest.  Every pivot row is stored
+    under its leading key, and an inserted row is reduced against all pivots
+    by integer cross-multiplication with the content stripped after each
+    step, so no rational number ever appears.  The set of leading keys
+    depends only on the span of the inserted rows.
+    """
+
+    def __init__(self, order=None):
+        self.order = order
+        self.pivots: dict = {}
+
+    def _lead_hit(self, v: dict):
+        """The smallest key of v that has a pivot row, or None."""
+        pivots = self.pivots
+        hits = [k for k in v if k in pivots]
+        return min(hits, key=self.order) if hits else None
+
+    def insert(self, v: dict) -> bool:
+        """Fully reduce v and adjoin it as a new pivot row.  True if new."""
+        pivots = self.pivots
+        while (hit := self._lead_hit(v)) is not None:
+            p = pivots[hit]
+            a, b = v[hit], p[hit]
+            g = gcd(a, b)
+            fa, fb = b // g, a // g
+            if fa < 0:
+                fa, fb = -fa, -fb
+            nv = {k: fa * c for k, c in v.items()}
+            for k, c in p.items():
+                nc = nv.get(k, 0) - fb * c
+                if nc:
+                    nv[k] = nc
+                else:
+                    nv.pop(k, None)
+            content = 0
+            for c in nv.values():
+                content = gcd(content, c)
+                if content == 1:
+                    break
+            v = {k: c // content for k, c in nv.items()} if content > 1 else nv
+        if not v:
+            return False
+        lead = min(v, key=self.order)
+        if v[lead] < 0:
+            v = {k: -c for k, c in v.items()}
+        pivots[lead] = v
+        return True
+
+    def normal_form(self, q: dict) -> dict:
+        """The remainder of the rational row q after reduction by the pivots."""
+        pivots = self.pivots
+        v = {k: Fraction(c) for k, c in q.items() if c}
+        while (hit := self._lead_hit(v)) is not None:
+            p = pivots[hit]
+            f = v[hit] / p[hit]
+            for k, c in p.items():
+                nc = v.get(k, 0) - f * c
+                if nc:
+                    v[k] = nc
+                else:
+                    v.pop(k, None)
+        return v
+
+
+# ---------------------------------------------------------------------------
+# dense operations on the kernel
+
+
+def _echelon(rows: list) -> tuple[Echelon, int]:
+    """Echelon form of dense rows keyed by column index, and the column count."""
+    ech = Echelon()
+    if not rows:
+        return ech, 0
+    ncols = len(rows[0])
+    for r in rows:
         if len(r) != ncols:
             raise ValueError("ragged matrix")
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return [tuple(row) for row in mat[:r]], pivots
+        ech.insert(int_row(dict(enumerate(r))))
+    return ech, ncols
 
 
 def echelon_basis(vectors: list) -> list[Vec]:
-    """Canonical RREF basis of the span of the given vectors."""
-    basis, _ = rref(list(vectors))
+    """An echelon basis of the span: the pivot rows by leading column.
+
+    The rows are scaled to integers and not reduced above their pivots; no
+    caller needs the reduced form, since every caller reads dimensions or
+    applies a map to the basis.
+    """
+    ech, ncols = _echelon(list(vectors))
+    zero = Fraction(0)
+    basis = []
+    for c in sorted(ech.pivots):
+        row = [zero] * ncols
+        for j, x in ech.pivots[c].items():
+            row[j] = Fraction(x)
+        basis.append(tuple(row))
     return basis
 
 
 def rank(vectors: list) -> int:
-    return len(echelon_basis(vectors))
+    return len(_echelon(list(vectors))[0].pivots)
 
 
 def subspace_sum(a: list[Vec], b: list[Vec]) -> list[Vec]:
     return echelon_basis(list(a) + list(b))
 
 
-def nullspace(rows: list) -> list[Vec]:
-    """Basis of {x : rows . x = 0}."""
-    mat = [list(_as_vec(r)) for r in rows]
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    red, pivots = rref(mat)
-    free = [c for c in range(ncols) if c not in pivots]
+def _back_substitute(pivots: dict, ncols: int, x: list[Fraction], rhs: bool) -> Vec:
+    """Fill the pivot columns of x so that every pivot row holds.
+
+    A pivot row reads sum_j row[j] x[j] = row[ncols] when ``rhs`` (the
+    augmented column, absent meaning 0) and = 0 otherwise.  The free
+    columns of x are left as given; each pivot column is solved for, last
+    pivot first, so the solution is the unique one with those free values.
+    """
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        s = Fraction(row.get(ncols, 0) if rhs else 0)
+        for j, a in row.items():
+            if c < j < ncols:
+                s -= a * x[j]
+        x[c] = s / row[c]
+    return tuple(x)
+
+
+def _null_basis(pivots: dict, ncols: int) -> list[Vec]:
+    """One kernel vector per free column: 1 there, 0 at the other free ones."""
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for rrow, pc in zip(red, pivots):
-            v[pc] = -rrow[fc]
-        basis.append(tuple(v))
+    for fc in range(ncols):
+        if fc not in pivots:
+            x = [Fraction(0)] * ncols
+            x[fc] = Fraction(1)
+            basis.append(_back_substitute(pivots, ncols, x, rhs=False))
     return basis
 
 
-def subspace_intersection(a: list[Vec], b: list[Vec]) -> list[Vec]:
-    """Basis of span(a) & span(b)."""
-    a = [_as_vec(v) for v in a]
-    b = [_as_vec(v) for v in b]
-    if not a or not b:
-        return []
-    n = len(a[0])
-    # columns: coefficients on a, then on b; rows: one per ambient coordinate
-    rows = []
-    for k in range(n):
-        rows.append([v[k] for v in a] + [-w[k] for w in b])
-    inter = []
-    for sol in nullspace(rows):
-        coeffs = sol[: len(a)]
-        vec = tuple(
-            sum((c * v[k] for c, v in zip(coeffs, a)), Fraction(0)) for k in range(n)
-        )
-        if any(x != 0 for x in vec):
-            inter.append(vec)
-    return echelon_basis(inter)
+def nullspace(rows: list) -> list[Vec]:
+    """Basis of {x : rows . x = 0}."""
+    ech, ncols = _echelon(list(rows))
+    return _null_basis(ech.pivots, ncols)
 
 
 def solve_linear(rows: list, rhs: list) -> tuple[Vec, list[Vec]] | None:
     """Solve rows . x = rhs.
 
     Returns (particular solution with free variables at 0, nullspace basis),
-    or None when inconsistent.
+    or None when inconsistent.  One elimination of the augmented matrix
+    serves both: the pivot columns of an echelon form depend only on the
+    row space, so the result is the same as from the reduced form.
     """
-    mat = [list(_as_vec(r)) for r in rows]
-    if not mat:
+    if not rows:
         return (), []
-    ncols = len(mat[0])
-    aug = [row + [Fraction(rhs[i])] for i, row in enumerate(mat)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
+    ncols = len(rows[0])
+    ech, _ = _echelon([list(row) + [rhs[i]] for i, row in enumerate(rows)])
+    if ncols in ech.pivots:
         return None  # pivot in the constant column
-    x = [Fraction(0)] * ncols
-    for rrow, pc in zip(red, pivots):
-        x[pc] = rrow[-1]
-    null = nullspace(mat)
-    return tuple(x), null
+    x = _back_substitute(ech.pivots, ncols, [Fraction(0)] * ncols, rhs=True)
+    return x, _null_basis(ech.pivots, ncols)
 
 
 def mat_vec(m: list, v) -> Vec:

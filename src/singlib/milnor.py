@@ -15,20 +15,18 @@ staircase is the true monomial basis and its size is the Milnor number.
 If no level up to the degree cap certifies, the computation reports
 NON_ISOLATED instead of looping.
 
-Rows are kept as sparse integer dictionaries with content stripped after
-every combination (fraction-free elimination); rational arithmetic appears
-only when reducing a query polynomial to its normal form.
+Rows are sparse integer dictionaries reduced by the fraction-free kernel
+``linalg.Echelon``; rational arithmetic appears only when reducing a query
+polynomial to its normal form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd
 
 from .errors import ConsistencyCheckError, PreconditionError
-from .linalg import rank
+from .linalg import Echelon, int_row
 from .poly import ExpVec, SparsePoly, partials
 
 FINITE = "FINITE"
@@ -48,13 +46,15 @@ def negdeglex_key(m: ExpVec):
 _ORDERS = {"negdegrevlex": negdegrevlex_key, "negdeglex": negdeglex_key}
 
 
+# the first truncation level is the germ's degree + 2; later ones add JET_STEP
+JET_STEP = 4
+
+
 @dataclass
 class JetConfig:
     """Truncation schedule for the jet computation."""
 
     degree_cap: int | None = None  # default: 4 * max support degree
-    start: int | None = None
-    step: int = 4
     local_order: str = "negdegrevlex"
 
 
@@ -64,97 +64,17 @@ class JetBasisResult:
     milnor_number: int | None
     staircase: frozenset[ExpVec]
     truncation_degree: int
-    _reducer: "_Reducer | None" = field(default=None, repr=False, compare=False)
+    _echelon: Echelon | None = field(default=None, repr=False, compare=False)
+    # every monomial of this degree lies in (df)
+    _ideal_degree: int | None = field(default=None, repr=False, compare=False)
 
     @property
     def finite(self) -> bool:
         return self.status == FINITE
 
 
-class _Reducer:
-    """Echelonized sparse integer rows keyed by leading monomial."""
-
-    def __init__(self, key):
-        self.key = key
-        self.pivots: dict[ExpVec, dict[ExpVec, int]] = {}
-        # degree at which every monomial of that degree is known to reduce
-        self.ideal_degree: int | None = None
-
-    def _strip(self, v: dict[ExpVec, int]) -> dict[ExpVec, int]:
-        g = 0
-        for c in v.values():
-            g = gcd(g, abs(c))
-            if g == 1:
-                return v
-        if g > 1:
-            return {m: c // g for m, c in v.items()}
-        return v
-
-    def insert(self, v: dict[ExpVec, int]) -> bool:
-        """Fully reduce v and adjoin it as a new pivot row.  True if new."""
-        pivots = self.pivots
-        key = self.key
-        while True:
-            hit = None
-            for m in v:
-                if m in pivots and (hit is None or key(m) < key(hit)):
-                    hit = m
-            if hit is None:
-                break
-            p = pivots[hit]
-            a, b = v[hit], p[hit]
-            g = gcd(abs(a), abs(b))
-            fa, fb = b // g, a // g
-            if fa < 0:
-                fa, fb = -fa, -fb
-            nv = {m: fa * c for m, c in v.items()}
-            for m, c in p.items():
-                nc = nv.get(m, 0) - fb * c
-                if nc:
-                    nv[m] = nc
-                elif m in nv:
-                    del nv[m]
-            v = self._strip(nv)
-        if not v:
-            return False
-        lead = min(v, key=key)
-        if v[lead] < 0:
-            v = {m: -c for m, c in v.items()}
-        pivots[lead] = v
-        return True
-
-    def normal_form(self, q: dict[ExpVec, Fraction]) -> dict[ExpVec, Fraction]:
-        pivots = self.pivots
-        key = self.key
-        v = {m: Fraction(c) for m, c in q.items() if c}
-        while True:
-            hit = None
-            for m in v:
-                if m in pivots and (hit is None or key(m) < key(hit)):
-                    hit = m
-            if hit is None:
-                return v
-            p = pivots[hit]
-            f = v[hit] / p[hit]
-            for m, c in p.items():
-                nc = v.get(m, Fraction(0)) - f * c
-                if nc:
-                    v[m] = nc
-                elif m in v:
-                    del v[m]
-
-
-def _monomials_upto(n: int, d: int):
-    """All exponent vectors in n variables of total degree <= d."""
-    for deg in range(d + 1):
-        for bars in combinations_with_replacement(range(n), deg):
-            e = [0] * n
-            for i in bars:
-                e[i] += 1
-            yield tuple(e)
-
-
 def _monomials_of_degree(n: int, deg: int):
+    """All exponent vectors in n variables of total degree deg."""
     for bars in combinations_with_replacement(range(n), deg):
         e = [0] * n
         for i in bars:
@@ -162,15 +82,14 @@ def _monomials_of_degree(n: int, deg: int):
         yield tuple(e)
 
 
-def _int_rows(g: SparsePoly) -> dict[ExpVec, int]:
-    den = 1
-    for c in g.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    return {e: int(c * den) for e, c in g.terms.items()}
+def _monomials_upto(n: int, d: int):
+    """All exponent vectors in n variables of total degree <= d."""
+    for deg in range(d + 1):
+        yield from _monomials_of_degree(n, deg)
 
 
-def _build_level(gens: list[dict[ExpVec, int]], n: int, level: int, key) -> _Reducer:
-    red = _Reducer(key)
+def _build_level(gens: list[dict[ExpVec, int]], n: int, level: int, key) -> Echelon:
+    red = Echelon(key)
     rows = []
     for g in gens:
         if not g:
@@ -190,7 +109,7 @@ def _build_level(gens: list[dict[ExpVec, int]], n: int, level: int, key) -> _Red
     return red
 
 
-def _certified_degree(red: _Reducer, n: int, level: int) -> int | None:
+def _certified_degree(red: Echelon, n: int, level: int) -> int | None:
     """Smallest s <= level with every degree-s monomial a pivot, if any."""
     pivots = red.pivots
     piv_degrees = sorted({sum(m) for m in pivots})
@@ -222,22 +141,21 @@ def milnor_basis(f: SparsePoly, config: JetConfig | None = None) -> JetBasisResu
     dfs = partials(f)
     if any(g.constant_term() != 0 for g in dfs):
         return JetBasisResult(SMOOTH_POINT, 0, frozenset(), 0)
-    gens = [_int_rows(g) for g in dfs]
+    gens = [int_row(g.terms) for g in dfs]
     cap = config.degree_cap if config.degree_cap is not None else 4 * f.total_degree()
     cap = max(cap, 2)
-    level = config.start if config.start is not None else min(f.total_degree() + 2, cap)
+    level = min(f.total_degree() + 2, cap)
     while True:
         red = _build_level(gens, n, level, key)
         s = _certified_degree(red, n, level)
         if s is not None:
-            red.ideal_degree = s
             staircase = frozenset(
                 m for m in _monomials_upto(n, s) if m not in red.pivots
             )
-            return JetBasisResult(FINITE, len(staircase), staircase, level, red)
+            return JetBasisResult(FINITE, len(staircase), staircase, level, red, s)
         if level >= cap:
             return JetBasisResult(NON_ISOLATED, None, frozenset(), level)
-        level = min(level + config.step, cap)
+        level = min(level + JET_STEP, cap)
 
 
 def normal_form(
@@ -254,11 +172,10 @@ def normal_form(
         basis = milnor_basis(f, config)
     if not basis.finite:
         raise PreconditionError(f"normal_form requires a finite Milnor algebra ({basis.status})")
-    red = basis._reducer
-    if red is None or red.ideal_degree is None:
-        raise ConsistencyCheckError("finite basis carries no certified reducer")
-    q = {e: c for e, c in p.terms.items() if sum(e) < red.ideal_degree}
-    nf = red.normal_form(q)
+    red, s = basis._echelon, basis._ideal_degree
+    if red is None or s is None:
+        raise ConsistencyCheckError("finite basis carries no certified echelon form")
+    nf = red.normal_form({e: c for e, c in p.terms.items() if sum(e) < s})
     if any(m not in basis.staircase for m in nf):
         raise ConsistencyCheckError("normal form leaves the staircase")
     return SparsePoly(p.nvars, nf)
@@ -276,13 +193,7 @@ def is_monomial_basis(
     mons = [tuple(m) for m in mons]
     if len(set(mons)) != len(mons) or len(mons) != basis.milnor_number:
         return False
-    coords = sorted(basis.staircase)
-    index = {m: i for i, m in enumerate(coords)}
-    vectors = []
+    ech = Echelon()
     for m in mons:
-        nf = normal_form(SparsePoly.monomial(f.nvars, m), f, basis=basis)
-        row = [Fraction(0)] * len(coords)
-        for e, c in nf.terms.items():
-            row[index[e]] = c
-        vectors.append(row)
-    return rank(vectors) == basis.milnor_number
+        ech.insert(int_row(normal_form(SparsePoly.monomial(f.nvars, m), f, basis=basis).terms))
+    return len(ech.pivots) == basis.milnor_number

@@ -6,13 +6,18 @@ coefficients positive that stay >= 1 on the whole support are facets.  The
 remaining compact faces (vertices and, for n = 3, edges) are recovered with
 exact Fourier-Motzkin feasibility queries for their supporting functionals.
 
-Nondegeneracy of a compact face is certified by ideal membership of 1: the
-face polynomial is rewritten in coordinates for the affine lattice of its
-support (an integer change of monomials, harmless on the torus), the torus
-is adjoined through an auxiliary variable u with u*t_1*...*t_d = 1, and the
-span of bounded-degree multiples of the generators is searched for 1.  A
-certificate proves the face has no critical point with all coordinates
-nonzero; exhausting the degree budget yields UNDECIDED, never a guess.
+A compact face whose support is affinely independent (a simplex, vertices
+included) is nondegenerate for any nonzero coefficients: the equations
+q = t_j dq/dt_j = 0 say that an invertible matrix, with the columns
+(1, a) for the support points a, kills the vector of terms c_a t^a, and
+no term vanishes on the torus.  Every other face is certified by ideal
+membership of 1: the face polynomial is rewritten in coordinates for the
+affine lattice of its support (an integer change of monomials, harmless
+on the torus), the torus is adjoined through an auxiliary variable u with
+u*t_1*...*t_d = 1, and the span of bounded-degree multiples of the
+generators is searched for 1.  A certificate proves the face has no
+critical point with all coordinates nonzero; exhausting the degree budget
+yields UNDECIDED, never a guess.
 """
 
 from __future__ import annotations
@@ -20,12 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 
 from .errors import (ConsistencyCheckError, NotConvenientError, PreconditionError,
                      UnsupportedDimensionError)
-from .linalg import feasible_point, hermite_basis, lattice_coords, solve_linear
-from .milnor import _Reducer, _monomials_upto, negdegrevlex_key
+from .linalg import (Echelon, feasible_point, hermite_basis, int_row, lattice_coords,
+                     solve_linear)
+from .milnor import _monomials_upto, negdegrevlex_key
 from .poly import ExpVec, SparsePoly
 
 UNDECIDED = "UNDECIDED"
@@ -168,12 +173,15 @@ def compact_faces(P: NewtonPolyhedron) -> list[frozenset[ExpVec]]:
 # nondegeneracy
 
 
+# the membership search raises its degree by this much per attempt
+MEMBERSHIP_STEP = 2
+
+
 @dataclass
 class MembershipBudget:
     """Degree budget for the torus-emptiness membership certificates."""
 
     degree_cap: int = 40
-    step: int = 2
 
 
 def _face_lattice_poly(f: SparsePoly, face: frozenset[ExpVec]) -> SparsePoly:
@@ -203,17 +211,12 @@ def _face_lattice_poly(f: SparsePoly, face: frozenset[ExpVec]) -> SparsePoly:
 def _one_in_ideal(gens: list[SparsePoly], nvars: int, budget: MembershipBudget) -> bool:
     """Search for a bounded-degree certificate that 1 lies in the ideal."""
     key = negdegrevlex_key
-    int_gens = []
-    for g in gens:
-        den = 1
-        for c in g.terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        int_gens.append({e: int(c * den) for e, c in g.terms.items()})
+    int_gens = [int_row(g.terms) for g in gens]
     start = max((g.total_degree() for g in gens), default=1) + 1
     level = min(start, budget.degree_cap)
     one = {(0,) * nvars: Fraction(1)}
     while True:
-        red = _Reducer(key)
+        red = Echelon(key)
         rows = []
         for g in int_gens:
             gdeg = max(sum(e) for e in g)
@@ -226,7 +229,7 @@ def _one_in_ideal(gens: list[SparsePoly], nvars: int, budget: MembershipBudget) 
             return True
         if level >= budget.degree_cap:
             return False
-        level = min(level + budget.step, budget.degree_cap)
+        level = min(level + MEMBERSHIP_STEP, budget.degree_cap)
 
 
 def _face_nondegenerate(
@@ -234,10 +237,8 @@ def _face_nondegenerate(
 ) -> bool | str:
     q = _face_lattice_poly(f, face)
     d = q.nvars
-    if d == 0:
-        # vertex face: a single monomial with a positive exponent never has
-        # a torus critical point
-        return True
+    if len(face) == d + 1:
+        return True  # a simplex (a vertex is the 0-simplex): see the module docstring
     gens = [q] + [_t_partial(q, j) for j in range(d)]
     # adjoin u * t_1 ... t_d - 1 in d + 1 variables
     lifted = []

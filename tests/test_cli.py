@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from singlib import ConsistencyCheckError, family
 from singlib.certificates import fnm_to_json
 from singlib.cli import main
@@ -87,6 +89,11 @@ def test_spectrum_methods(capsys):
     code, _, err = run(capsys, "spectrum", "x^2+y^3", "--vars", "x,y", "--method", "ts")
     assert code == 2
 
+    # --jet-cap belongs to the commands that compute jets under a cap
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "spectrum", "x^2+y^3", "--vars", "x,y", "--method", "wh", "--jet-cap", "3")
+    assert exc.value.code == 2
+
 
 def test_bfun(capsys):
     code, out, _ = run(capsys, "bfun", "z^5", "--vars", "z")
@@ -116,6 +123,17 @@ def test_fnm_check(capsys, tmp_path):
     code, _, err = run(capsys, "fnm", "check", str(path))
     assert code == 2
 
+    obj = json.loads(fnm_to_json(M))
+    obj["N"][2] = "1/0"
+    path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "fnm", "check", str(path))
+    assert code == 2 and "malformed" in err
+    obj = json.loads(fnm_to_json(M))
+    obj["G"][0]["spanning_vectors"][0][1] = "1/0"
+    path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "fnm", "check", str(path))
+    assert code == 2 and "malformed" in err
+
 
 def test_family_commands(capsys, tmp_path):
     code, out, _ = run(capsys, "family", "make", "7", "3", "5")
@@ -135,6 +153,33 @@ def test_family_commands(capsys, tmp_path):
     assert code == 0
     assert json.loads(out)["status"] == "CERTIFIED"
     assert json.loads(out_file.read_text())["verdicts"]["question1"] == "NEGATIVE"
+
+
+def test_family_sweep_certify(capsys, monkeypatch):
+    code, out, _ = run(capsys, "family", "sweep", "--bmax", "3", "--certify")
+    assert code == 0
+    obj = json.loads(out)
+    assert [d["status"] for d in obj["instances"]] == ["CERTIFIED"]
+    assert obj["status_counts"] == {"CERTIFIED": 1}
+    assert obj["failed_step_counts"] == {}
+
+    def inconclusive(params, jet_cap=None):
+        return {"status": "INCONCLUSIVE", "failed_step": "i"}
+    monkeypatch.setattr(family, "negative_answer_pipeline", inconclusive)
+    code, out, _ = run(capsys, "family", "sweep", "--bmax", "3", "--certify")
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["instances"][0]["failed_step"] == "i"
+    assert obj["status_counts"] == {"INCONCLUSIVE": 1}
+    assert obj["failed_step_counts"] == {"i": 1}
+
+
+def test_family_certify_simplex_face_instance(capsys):
+    # the face {(64,0,0), (14,14,0), (0,0,13)} of g is a triangle, nondegenerate
+    # in closed form; its membership certificate would exceed the degree budget
+    code, out, _ = run(capsys, "family", "certify", "32", "7", "13")
+    assert code == 0
+    assert json.loads(out)["status"] == "CERTIFIED"
 
 
 def test_verify_paper_single_item(capsys):

@@ -1,5 +1,8 @@
 from fractions import Fraction as F
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from singlib.linalg import (
     echelon_basis,
     feasible_point,
@@ -8,7 +11,6 @@ from singlib.linalg import (
     nullspace,
     rank,
     solve_linear,
-    subspace_intersection,
     subspace_sum,
 )
 
@@ -33,9 +35,66 @@ def test_subspace_sum_and_intersection():
     a = echelon_basis([(1, 0, 0), (0, 1, 0)])
     b = echelon_basis([(0, 1, 0), (0, 0, 1)])
     assert len(subspace_sum(a, b)) == 3
-    inter = subspace_intersection(a, b)
-    assert len(inter) == 1
-    assert inter[0][0] == 0 and inter[0][2] == 0
+    # dim(a & b) = dim a + dim b - dim(a + b)
+    assert len(a) + len(b) - len(subspace_sum(a, b)) == 1
+
+
+def _gauss_rank(rows) -> int:
+    """Rank by textbook Gaussian elimination over Fraction."""
+    mat = [[F(x) for x in r] for r in rows]
+    r = 0
+    for c in range(len(mat[0]) if mat else 0):
+        p = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if p is None:
+            continue
+        mat[r], mat[p] = mat[p], mat[r]
+        for i in range(r + 1, len(mat)):
+            f = mat[i][c] / mat[r][c]
+            mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        r += 1
+    return r
+
+
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _system(draw):
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    # a few zero entries make rank drops and free columns likely
+    entry = st.one_of(st.just(F(0)), _rationals)
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    rhs = [draw(entry) for _ in range(nrows)]
+    return rows, rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_system())
+def test_kernel_against_gaussian_elimination(system):
+    rows, rhs = system
+    ncols = len(rows[0])
+    r = rank(rows)
+    assert r == _gauss_rank(rows)
+    assert len(echelon_basis(rows)) == r
+    null = nullspace(rows)
+    assert len(null) == ncols - r
+    assert _gauss_rank(null) == len(null)
+    for v in null:
+        for row in rows:
+            assert sum(a * x for a, x in zip(row, v)) == 0
+    sol = solve_linear(rows, rhs)
+    assert (sol is None) == (_gauss_rank([row + [b] for row, b in zip(rows, rhs)]) > r)
+    if sol is not None:
+        x, sol_null = sol
+        assert sol_null == null
+        for row, b in zip(rows, rhs):
+            assert sum(a * xi for a, xi in zip(row, x)) == b
+        # free columns (no pivot) are 0: a column is free iff it adds no rank
+        # to the columns before it
+        cols = [[row[j] for row in rows] for j in range(ncols)]
+        for j in range(ncols):
+            if _gauss_rank(cols[: j + 1]) == _gauss_rank(cols[:j]):
+                assert x[j] == 0
 
 
 def test_feasible_point_strict():
