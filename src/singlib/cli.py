@@ -11,13 +11,15 @@
 JSON on stdout is the single source of truth; --pretty renders a
 human-readable view of the same JSON.  Every rational is serialized as an
 exact string.  Exit codes: 0 success, 1 check or verdict failure, 2
-precondition or parse error.
+precondition or parse error.  A reader that closes stdout early (``| head``)
+ends the command quietly with 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 
@@ -421,6 +423,17 @@ def main(argv=None) -> int:
     except (ConsistencyCheckError, SpectrumCountMismatchError) as e:
         print(f"error: {e}", file=sys.stderr)
         return CHECK_FAILED
+    except BrokenPipeError:
+        # the reader closed stdout early (``sing ... | head``); the input was
+        # fine.  Point stdout at devnull so the flush at exit cannot raise again.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return OK  # no file descriptor, so nothing is flushed into the pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return OK
     except (PolyParseError, PreconditionError, SingError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return BAD_INPUT

@@ -233,7 +233,7 @@ def negative_answer_pipeline(params: FamilyParams, jet_cap: int | None = None) -
         sp_h = spectrum.spectrum_newton_2d(h, flags=fh, basis=basis_h)
         record("iii", "h-spectrum", {
             "count": len(sp_h),
-            "min": rat_to_str(sp_h.values[0]),
+            "min": rat_to_str(spectrum.kth(sp_h, 1)),
             "symmetric": sp_h.is_symmetric(),
         })
 
@@ -248,7 +248,7 @@ def negative_answer_pipeline(params: FamilyParams, jet_cap: int | None = None) -
         values["mu_g"] = mu_g
         record("iv", "g-spectrum", {
             "mu_g": mu_g,
-            "min": rat_to_str(sp_g.values[0]),
+            "min": rat_to_str(spectrum.kth(sp_g, 1)),
             "count": len(sp_g),
         })
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .errors import (ConsistencyCheckError, NotConvenientError, PreconditionError,
                      UnsupportedDimensionError)
@@ -43,15 +44,16 @@ class Facet:
     functional: tuple[Fraction, ...]
     vertices: frozenset[ExpVec]
 
-    def value(self, p) -> Fraction:
-        return sum((c * Fraction(x) for c, x in zip(self.functional, p)), Fraction(0))
-
 
 @dataclass(frozen=True)
 class NewtonPolyhedron:
+    """Support and compact facets; ``forms[i] / den`` is facet i's functional."""
+
     support: frozenset[ExpVec]
     facets: tuple[Facet, ...]
     nvars: int
+    forms: tuple[tuple[int, ...], ...]
+    den: int
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,9 @@ def newton_polyhedron(f: SparsePoly) -> NewtonPolyhedron:
     facets = tuple(
         Facet(ell, found[ell]) for ell in sorted(found)
     )
-    return NewtonPolyhedron(frozenset(support), facets, n)
+    den = lcm(*(c.denominator for F in facets for c in F.functional))
+    forms = tuple(tuple(int(c * den) for c in F.functional) for F in facets)
+    return NewtonPolyhedron(frozenset(support), facets, n, forms, den)
 
 
 def phi_value(P: NewtonPolyhedron, p) -> Fraction:
@@ -98,7 +102,7 @@ def phi_value(P: NewtonPolyhedron, p) -> Fraction:
         raise PreconditionError(f"phi_value needs a point with {P.nvars} coordinates")
     if any(x < 0 for x in p):
         raise PreconditionError("phi_value needs a non-negative point")
-    return min(F.value(p) for F in P.facets)
+    return Fraction(min(sum(c * x for c, x in zip(form, p)) for form in P.forms), P.den)
 
 
 # ---------------------------------------------------------------------------

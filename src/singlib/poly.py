@@ -87,10 +87,6 @@ class SparsePoly:
         """Max total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def min_degree(self) -> int:
-        """Min total degree over the support; -1 for zero."""
-        return min((sum(e) for e in self.terms), default=-1)
-
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.nvars, Fraction(0))
 

@@ -1,5 +1,11 @@
 """Singularity spectra and their queries.
 
+A spectrum is stored as one denominator ``den`` (the lcm of the reduced
+value denominators) and the sorted int numerators ``nums``; the rationals
+themselves are derived on demand.  The Newton and Thom-Sebastiani
+constructors, the checks below and every query work on those ints, and
+the queries bisect the sorted numerators.
+
 Three constructors, each guarded by the cardinality |Sp| = mu:
 
 * ``spectrum_wh``: weighted homogeneous germs; each staircase monomial a
@@ -18,10 +24,13 @@ constructors check all three.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
+from math import gcd, lcm
 
 from .errors import (
     ConsistencyCheckError,
@@ -30,42 +39,66 @@ from .errors import (
     SpectrumCountMismatchError,
 )
 from .milnor import JetBasisResult, milnor_basis
-from .newton import NewtonFlags, newton_flags, newton_polyhedron, phi_value
+from .newton import NewtonFlags, newton_flags, newton_polyhedron
 from .poly import SparsePoly, weighted_degree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Spectrum:
-    """Sorted multiset of rationals in (0, nvars)."""
+    """Sorted multiset of rationals in (0, nvars): ``nums[i] / den``.
 
-    values: tuple[Fraction, ...]
+    ``den`` is the lcm of the reduced denominators of the values, so equal
+    multisets have equal fields.
+    """
+
+    nums: tuple[int, ...]
+    den: int
     nvars: int
 
-    def __post_init__(self):
-        vals = tuple(sorted(Fraction(v) for v in self.values))
-        object.__setattr__(self, "values", vals)
-        if any(v <= 0 or v >= self.nvars for v in vals):
+    def __init__(self, values, nvars: int):
+        vals = [Fraction(v) for v in values]
+        den = lcm(*(v.denominator for v in vals))
+        self._set([v.numerator * (den // v.denominator) for v in vals], den, nvars)
+
+    @classmethod
+    def from_ints(cls, nums, den: int, nvars: int) -> "Spectrum":
+        """The spectrum of the values ``x / den`` for x in nums."""
+        s = object.__new__(cls)
+        s._set(nums, den, nvars)
+        return s
+
+    def _set(self, nums, den: int, nvars: int):
+        g = gcd(den, *nums)
+        nums = sorted(x // g for x in nums)
+        den //= g
+        if nums and (nums[0] <= 0 or nums[-1] >= nvars * den):
             raise ValueError("spectral values must lie strictly inside (0, nvars)")
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nvars", nvars)
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def __len__(self):
-        return len(self.values)
+        return len(self.nums)
 
     def multiplicities(self) -> dict[Fraction, int]:
-        return dict(Counter(self.values))
+        return {Fraction(x, self.den): m for x, m in Counter(self.nums).items()}
 
     def is_symmetric(self) -> bool:
-        c = Counter(self.values)
-        return all(c[v] == c[self.nvars - v] for v in c)
+        top, nums = self.nvars * self.den, self.nums
+        return all(x + y == top for x, y in zip(nums, reversed(nums)))
 
     def checksum(self) -> Fraction:
-        return sum(self.values, Fraction(0))
+        return Fraction(sum(self.nums), self.den)
 
 
-def _validated(values, nvars: int, mu: int | None = None) -> Spectrum:
-    s = Spectrum(tuple(values), nvars)
+def _validated(s: Spectrum, mu: int | None = None) -> Spectrum:
     if not s.is_symmetric():
         raise ConsistencyCheckError("spectrum symmetry violated")
-    if 2 * s.checksum() != nvars * len(s):
+    if 2 * sum(s.nums) != s.nvars * s.den * len(s):
         raise ConsistencyCheckError("spectrum sum rule violated")
     if mu is not None and len(s) != mu:
         raise SpectrumCountMismatchError(
@@ -92,7 +125,7 @@ def spectrum_wh(f: SparsePoly, w, basis: JetBasisResult | None = None) -> Spectr
     values = [
         weighted_degree(tuple(a + b for a, b in zip(e, one)), w) for e in basis.staircase
     ]
-    return _validated(values, f.nvars, basis.milnor_number)
+    return _validated(Spectrum(values, f.nvars), basis.milnor_number)
 
 
 def spectrum_newton_2d(
@@ -111,45 +144,58 @@ def spectrum_newton_2d(
             f"nondegenerate={flags.nondegenerate})"
         )
     P = newton_polyhedron(f)
+    if not P.forms:
+        raise PreconditionError("polyhedron has no compact facets")
+    # phi(p) = min over the integer forms at p, divided by P.den
+    D = P.den
     bound = max(max(e) for e in P.support)
-    part1: list[Fraction] = []
-    for p in product(range(1, bound + 1), repeat=2):
-        v = phi_value(P, p)
-        if v <= 1:
+    part1 = []
+    for x, y in product(range(1, bound + 1), repeat=2):
+        v = min(a * x + b * y for a, b in P.forms)
+        if v <= D:
             part1.append(v)
-    values = part1 + [2 - v for v in part1 if v < 1]
+    nums = part1 + [2 * D - v for v in part1 if v < D]
     if basis is None:
         basis = milnor_basis(f)
     if not basis.finite:
         raise PreconditionError(f"Milnor algebra not finite ({basis.status})")
-    return _validated(values, 2, basis.milnor_number)
+    return _validated(Spectrum.from_ints(nums, D, 2), basis.milnor_number)
 
 
 def thom_sebastiani(s1: Spectrum, s2: Spectrum) -> Spectrum:
     """Spectrum of a sum of germs in disjoint variables: all pairwise sums."""
-    values = [a + b for a in s1.values for b in s2.values]
-    return _validated(values, s1.nvars + s2.nvars)
+    den = lcm(s1.den, s2.den)
+    k1, k2 = den // s1.den, den // s2.den
+    b = [y * k2 for y in s2.nums]
+    nums = [x * k1 + y for x in s1.nums for y in b]
+    return _validated(Spectrum.from_ints(nums, den, s1.nvars + s2.nvars))
 
 
 # ---------------------------------------------------------------------------
 # queries
 
 
+def _count(nums, x: int) -> int:
+    return bisect_right(nums, x) - bisect_left(nums, x)
+
+
 def kth(s: Spectrum, k: int) -> Fraction:
     """k-th smallest spectral value, 1-indexed, counting multiplicity."""
     if not 1 <= k <= len(s):
         raise PreconditionError(f"k={k} out of range 1..{len(s)}")
-    return s.values[k - 1]
+    return Fraction(s.nums[k - 1], s.den)
 
 
 def multiplicity(s: Spectrum, alpha) -> int:
     alpha = Fraction(alpha)
-    return sum(1 for v in s.values if v == alpha)
+    if s.den % alpha.denominator:
+        return 0
+    return _count(s.nums, alpha.numerator * (s.den // alpha.denominator))
 
 
 def count_le(s: Spectrum, alpha) -> int:
     alpha = Fraction(alpha)
-    return sum(1 for v in s.values if v <= alpha)
+    return bisect_right(s.nums, alpha.numerator * s.den // alpha.denominator)
 
 
 def eigenspace_dim(s: Spectrum, beta) -> int:
@@ -164,10 +210,19 @@ def eigenspace_dim(s: Spectrum, beta) -> int:
 
 
 def congruent_values(s: Spectrum, beta) -> dict[Fraction, int]:
-    """The distinct values of s congruent to beta mod 1, with multiplicities."""
+    """The distinct values of s congruent to beta mod 1, with multiplicities.
+
+    A value x / den is congruent to beta iff x = beta * den mod den, which
+    needs beta's denominator to divide den; the candidates x are then one
+    residue plus the multiples of den below nvars * den.
+    """
     beta = Fraction(beta)
+    if s.den % beta.denominator:
+        return {}
+    residue = beta.numerator * (s.den // beta.denominator) % s.den
     out: dict[Fraction, int] = {}
-    for v in s.values:
-        if (v - beta).denominator == 1:
-            out[v] = out.get(v, 0) + 1
+    for x in range(residue, s.nvars * s.den, s.den):
+        m = _count(s.nums, x)
+        if m:
+            out[Fraction(x, s.den)] = m
     return out

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -41,6 +43,18 @@ def test_failed_consistency_check_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "family", "certify", "7", "3", "5")
     assert code == 1
     assert "sum rule" in err
+
+
+def test_broken_pipe_exits_quietly(capsys, monkeypatch):
+    # a reader that closes stdout early (``sing ... | head``) is not bad input
+    class ClosedPipe(io.StringIO):
+        def write(self, s):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["family", "sweep", "--bmax", "3", "--pretty"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_parse_error_exit_code(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -73,6 +74,30 @@ def test_pipeline_determinism():
     c1 = certificate_json(negative_answer_pipeline(make_family(7, 3, 5)))
     c2 = certificate_json(negative_answer_pipeline(make_family(7, 3, 5)))
     assert c1 == c2
+
+
+# sha256 of the 18 certificates with b <= 6, in sweep order, then verify-paper
+CERTIFICATES_SHA256 = "c2df1c62b14b57eb9d30a3445d04a1b578302c67742d5a86faf87f58da1e4853"
+
+
+def test_certificates_pinned():
+    """Equal parameters give byte-identical certificates, release to release.
+
+    The digest covers the ``certificate_json`` output of every instance with
+    b <= 6 and the JSON of ``verify_paper()``.  It was taken from the
+    Fraction-based spectrum layer, before the integer one replaced it.  A
+    change that is meant to alter certificate bytes (a declared
+    ``SCHEMA_VERSION`` bump) updates the digest in the same commit; any other
+    change must leave it alone.
+    """
+    instances = sweep_families(6)["instances"]
+    assert len(instances) == 18
+    digest = hashlib.sha256()
+    for d in instances:
+        cert = negative_answer_pipeline(make_family(d["a"], d["b"], d["c"]))
+        digest.update(certificate_json(cert).encode())
+    digest.update(certificate_json(verify_paper()).encode())
+    assert digest.hexdigest() == CERTIFICATES_SHA256
 
 
 def test_certificate_soundness_is_machine_checkable():
