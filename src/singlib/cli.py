@@ -164,7 +164,7 @@ def _render_verify(obj: dict) -> str:
 
 def _cmd_milnor(args) -> int:
     f = parse_poly(args.poly, _split_vars(args.vars))
-    cfg = milnor.JetConfig(degree_cap=args.jet_cap) if args.jet_cap else None
+    cfg = milnor.JetConfig(degree_cap=args.jet_cap) if args.jet_cap is not None else None
     res = milnor.milnor_basis(f, cfg)
     obj = {
         "status": res.status,
@@ -339,12 +339,18 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--pretty", action="store_true",
                         help="render a human-readable view instead of JSON")
     jets = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    jets.add_argument("--jet-cap", type=int, default=None,
+    jets.add_argument("--jet-cap", type=_positive_int, default=None,
                       help="degree cap for jet truncation")
 
     ap = argparse.ArgumentParser(prog="sing", description=__doc__, allow_abbrev=False,

@@ -203,7 +203,7 @@ def negative_answer_pipeline(params: FamilyParams, jet_cap: int | None = None) -
     def record(step_id: str, name: str, data: dict):
         steps.append({"id": step_id, "name": name, "passed": True, "data": data})
 
-    config = milnor.JetConfig(degree_cap=jet_cap) if jet_cap else None
+    config = milnor.JetConfig(degree_cap=jet_cap) if jet_cap is not None else None
     h, g = params.h, params.g
     beta0 = params.beta0
     try:

@@ -15,15 +15,29 @@ staircase is the true monomial basis and its size is the Milnor number.
 If no level up to the degree cap certifies, the computation reports
 NON_ISOLATED instead of looping.
 
-Rows are sparse integer dictionaries reduced by the fraction-free kernel
-``linalg.Echelon``; rational arithmetic appears only when reducing a query
+Level independence: the level-D span is the degree-<=D truncation of the
+polynomial ideal (df), and truncation keeps the lowest-degree part that a
+local order leads with.  So the pivots of degree <= D are exactly the
+leading monomials of (df) of degree <= D, whatever D is (Greuel-Pfister,
+*A Singular Introduction to Commutative Algebra*, 1.5-1.6).  The count
+H(k) of staircase monomials of degree k is therefore final once built, and
+every level >= s certifies the same degree s, staircase and normal forms.
+A level that fails extrapolates H linearly to zero to choose the next one
+(at least JET_STEP further, never past the cap).  The reported
+``truncation_degree`` is the first level of the schedule d+2, d+2+JET_STEP,
+... (clamped at the cap) that is >= s, computed from s rather than built,
+so it does not depend on which levels were built.
+
+Rows are sparse integer dictionaries keyed by monomials, reduced by the
+fraction-free kernel ``linalg.Echelon`` under the int rank of each monomial
+in the local order; rational arithmetic appears only when reducing a query
 polynomial to its normal form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from operator import add, itemgetter
 
 from .errors import ConsistencyCheckError, PreconditionError
 from .linalg import Echelon, int_row
@@ -46,7 +60,8 @@ def negdeglex_key(m: ExpVec):
 _ORDERS = {"negdegrevlex": negdegrevlex_key, "negdeglex": negdeglex_key}
 
 
-# the first truncation level is the germ's degree + 2; later ones add JET_STEP
+# the first truncation level is the germ's degree d + 2; the reported level is
+# on the schedule d + 2 + k * JET_STEP, and a jump goes at least JET_STEP further
 JET_STEP = 4
 
 
@@ -57,12 +72,18 @@ class JetConfig:
     degree_cap: int | None = None  # default: 4 * max support degree
     local_order: str = "negdegrevlex"
 
+    def __post_init__(self):
+        if self.degree_cap is not None and self.degree_cap < 1:
+            raise PreconditionError(f"jet degree cap must be at least 1, got {self.degree_cap}")
+
 
 @dataclass
 class JetBasisResult:
     status: str
     milnor_number: int | None
     staircase: frozenset[ExpVec]
+    # FINITE: the first level of the d+2, d+2+JET_STEP, ... schedule (clamped
+    # at the cap) that is >= the certified degree; NON_ISOLATED: the cap
     truncation_degree: int
     _echelon: Echelon | None = field(default=None, repr=False, compare=False)
     # every monomial of this degree lies in (df)
@@ -73,13 +94,12 @@ class JetBasisResult:
         return self.status == FINITE
 
 
-def _monomials_of_degree(n: int, deg: int):
-    """All exponent vectors in n variables of total degree deg."""
-    for bars in combinations_with_replacement(range(n), deg):
-        e = [0] * n
-        for i in bars:
-            e[i] += 1
-        yield tuple(e)
+def _monomials_of_degree(n: int, deg: int) -> list[ExpVec]:
+    """All exponent vectors in n variables of total degree deg, lex-descending."""
+    if n == 1:
+        return [(deg,)]
+    return [(i,) + rest for i in range(deg, -1, -1)
+            for rest in _monomials_of_degree(n - 1, deg - i)]
 
 
 def _monomials_upto(n: int, d: int):
@@ -88,37 +108,36 @@ def _monomials_upto(n: int, d: int):
         yield from _monomials_of_degree(n, deg)
 
 
-def _build_level(gens: list[dict[ExpVec, int]], n: int, level: int, key) -> Echelon:
-    red = Echelon(key)
+def _extend_ranks(by_degree: list, rank: dict, n: int, level: int, key) -> None:
+    """Append the monomials of each degree up to ``level`` not yet listed.
+
+    ``by_degree[k]`` holds the degree-k monomials sorted in the local order,
+    and ``rank`` numbers all listed monomials in that order, so an int
+    comparison of ranks is a comparison of monomials.
+    """
+    for k in range(len(by_degree), level + 1):
+        mons = sorted(_monomials_of_degree(n, k), key=key)
+        by_degree.append(mons)
+        rank.update(zip(mons, range(len(rank), len(rank) + len(mons))))
+
+
+def _build_level(gens: list[dict[ExpVec, int]], by_degree: list, rank: dict,
+                 level: int) -> Echelon:
     rows = []
     for g in gens:
         if not g:
             continue
-        order = min(sum(e) for e in g)
-        for m in _monomials_upto(n, level - order):
-            row = {}
-            for e, c in g.items():
-                me = tuple(a + b for a, b in zip(m, e))
-                if sum(me) <= level:
-                    row[me] = c
-            if row:
-                rows.append(row)
-    rows.sort(key=lambda r: key(min(r, key=key)))
-    for row in rows:
+        terms = [(e, sum(e), c) for e, c in g.items()]
+        order = min(de for _, de, _ in terms)
+        for k in range(level - order + 1):
+            for m in by_degree[k]:
+                row = {tuple(map(add, m, e)): c for e, de, c in terms if k + de <= level}
+                rows.append((min(map(rank.__getitem__, row)), row))
+    rows.sort(key=itemgetter(0))
+    red = Echelon(rank.__getitem__)
+    for _, row in rows:
         red.insert(row)
     return red
-
-
-def _certified_degree(red: Echelon, n: int, level: int) -> int | None:
-    """Smallest s <= level with every degree-s monomial a pivot, if any."""
-    pivots = red.pivots
-    piv_degrees = sorted({sum(m) for m in pivots})
-    for s in piv_degrees:
-        if s > level:
-            break
-        if all(m in pivots for m in _monomials_of_degree(n, s)):
-            return s
-    return None
 
 
 def milnor_basis(f: SparsePoly, config: JetConfig | None = None) -> JetBasisResult:
@@ -142,20 +161,32 @@ def milnor_basis(f: SparsePoly, config: JetConfig | None = None) -> JetBasisResu
     if any(g.constant_term() != 0 for g in dfs):
         return JetBasisResult(SMOOTH_POINT, 0, frozenset(), 0)
     gens = [int_row(g.terms) for g in dfs]
-    cap = config.degree_cap if config.degree_cap is not None else 4 * f.total_degree()
+    d = f.total_degree()
+    cap = config.degree_cap if config.degree_cap is not None else 4 * d
     cap = max(cap, 2)
-    level = min(f.total_degree() + 2, cap)
+    by_degree: list = []
+    rank: dict = {}
+    level = min(d + 2, cap)
     while True:
-        red = _build_level(gens, n, level, key)
-        s = _certified_degree(red, n, level)
-        if s is not None:
+        _extend_ranks(by_degree, rank, n, level, key)
+        red = _build_level(gens, by_degree, rank, level)
+        # holes[k]: how many staircase monomials have degree k, the same at every level >= k
+        holes = [sum(m not in red.pivots for m in mons) for mons in by_degree]
+        if 0 in holes:
+            s = holes.index(0)
             staircase = frozenset(
-                m for m in _monomials_upto(n, s) if m not in red.pivots
+                m for mons in by_degree[:s] for m in mons if m not in red.pivots
             )
-            return JetBasisResult(FINITE, len(staircase), staircase, level, red, s)
+            steps = max(0, -((d + 2 - s) // JET_STEP))
+            reported = min(d + 2 + JET_STEP * steps, cap)
+            return JetBasisResult(FINITE, len(staircase), staircase, reported, red, s)
         if level >= cap:
             return JetBasisResult(NON_ISOLATED, None, frozenset(), level)
-        level = min(level + JET_STEP, cap)
+        # extrapolate the shrinking staircase to the degree where it runs out
+        step, drop = JET_STEP, holes[level - 1] - holes[level]
+        if drop > 0:
+            step = max(JET_STEP, -(-holes[level] // drop))
+        level = min(level + step, cap)
 
 
 def normal_form(

@@ -10,14 +10,16 @@ A compact face whose support is affinely independent (a simplex, vertices
 included) is nondegenerate for any nonzero coefficients: the equations
 q = t_j dq/dt_j = 0 say that an invertible matrix, with the columns
 (1, a) for the support points a, kills the vector of terms c_a t^a, and
-no term vanishes on the torus.  Every other face is certified by ideal
-membership of 1: the face polynomial is rewritten in coordinates for the
-affine lattice of its support (an integer change of monomials, harmless
-on the torus), the torus is adjoined through an auxiliary variable u with
-u*t_1*...*t_d = 1, and the span of bounded-degree multiples of the
-generators is searched for 1.  A certificate proves the face has no
-critical point with all coordinates nonzero; exhausting the degree budget
-yields UNDECIDED, never a guess.
+no term vanishes on the torus.  Every other face is first rewritten in
+coordinates for the affine lattice of its support (an integer change of
+monomials, harmless on the torus).  An edge then becomes a univariate q(t)
+with q(0) != 0, and q = t q' = 0 has a root on C* iff q has a repeated
+root, iff gcd(q, q') over Q is not constant: edges are decided exactly.
+A 2-face is certified by ideal membership of 1: the torus is adjoined
+through an auxiliary variable u with u*t_1*t_2 = 1, and the span of
+bounded-degree multiples of the generators is searched for 1.  A
+certificate proves the face has no critical point with all coordinates
+nonzero; exhausting the degree budget yields UNDECIDED, never a guess.
 """
 
 from __future__ import annotations
@@ -236,6 +238,29 @@ def _one_in_ideal(gens: list[SparsePoly], nvars: int, budget: MembershipBudget) 
         level = min(level + MEMBERSHIP_STEP, budget.degree_cap)
 
 
+def _remainder(a: list, b: list) -> list:
+    """a mod b for dense coefficient lists (constant first, no trailing zeros)."""
+    a = list(a)
+    while len(a) >= len(b):
+        f, k = a[-1] / b[-1], len(a) - len(b)
+        for i, c in enumerate(b):
+            a[k + i] -= f * c
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _edge_nondegenerate(q: SparsePoly) -> bool:
+    """True iff gcd(q, q') is constant for a univariate q with q(0) != 0."""
+    a = [Fraction(0)] * (q.total_degree() + 1)
+    for (e,), c in q.terms.items():
+        a[e] = c
+    b = [i * c for i, c in enumerate(a)][1:]
+    while b:
+        a, b = b, _remainder(a, b)
+    return len(a) == 1
+
+
 def _face_nondegenerate(
     f: SparsePoly, face: frozenset[ExpVec], budget: MembershipBudget
 ) -> bool | str:
@@ -243,6 +268,8 @@ def _face_nondegenerate(
     d = q.nvars
     if len(face) == d + 1:
         return True  # a simplex (a vertex is the 0-simplex): see the module docstring
+    if d == 1:
+        return _edge_nondegenerate(q)  # the shift in _face_lattice_poly makes q(0) != 0
     gens = [q] + [_t_partial(q, j) for j in range(d)]
     # adjoin u * t_1 ... t_d - 1 in d + 1 variables
     lifted = []

@@ -108,6 +108,14 @@ def test_spectrum_methods(capsys):
         run(capsys, "spectrum", "x^2+y^3", "--vars", "x,y", "--method", "wh", "--jet-cap", "3")
     assert exc.value.code == 2
 
+    # a jet cap is a positive degree; 0 is not "the default" and -3 is not a cap
+    for cmd in (("milnor", "x^5+y^7", "--vars", "x,y"), ("family", "certify", "7", "3", "5")):
+        for cap in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                run(capsys, *cmd, "--jet-cap", cap)
+            assert exc.value.code == 2
+            assert "positive integer" in capsys.readouterr().err
+
 
 def test_bfun(capsys):
     code, out, _ = run(capsys, "bfun", "z^5", "--vars", "z")

@@ -1,6 +1,9 @@
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from singlib import (
     JetConfig,
@@ -13,7 +16,16 @@ from singlib import (
     spectrum_wh,
     weighted_homogeneity,
 )
-from singlib.milnor import FINITE, NON_ISOLATED, SMOOTH_POINT
+from singlib.linalg import Echelon, int_row
+from singlib.milnor import (
+    FINITE,
+    JET_STEP,
+    NON_ISOLATED,
+    SMOOTH_POINT,
+    negdeglex_key,
+    negdegrevlex_key,
+)
+from singlib.poly import partials
 
 
 def lemma_basis_monomials():
@@ -65,6 +77,9 @@ def test_preconditions():
         milnor_basis(SparsePoly.zero(2))
     with pytest.raises(PreconditionError):
         milnor_basis(parse_poly("7+x^2", ["x"]))
+    for cap in (0, -3):
+        with pytest.raises(PreconditionError):
+            JetConfig(degree_cap=cap)
 
 
 def test_normal_form_of_partial_is_zero(h, basis_h):
@@ -114,3 +129,69 @@ def test_spectrum_independent_of_local_order():
         b = milnor_basis(f, JetConfig(local_order=order))
         spectra.append(spectrum_wh(f, w, basis=b).values)
     assert spectra[0] == spectra[1]
+
+
+def fixed_schedule(f, cap, order):
+    """Reference: build every level d+2, d+2+JET_STEP, ... until one certifies."""
+    key = {"negdegrevlex": negdegrevlex_key, "negdeglex": negdeglex_key}[order]
+    n, d = f.nvars, f.total_degree()
+    gens = [int_row(g.terms) for g in partials(f)]
+    cap = max(4 * d if cap is None else cap, 2)
+    level = min(d + 2, cap)
+    while True:
+        mons = [m for m in product(range(level + 1), repeat=n) if sum(m) <= level]
+        rows = []
+        for g, m in product(gens, mons):
+            row = {}
+            for e, c in g.items():
+                me = tuple(a + b for a, b in zip(m, e))
+                if sum(me) <= level:
+                    row[me] = c
+            if row:
+                rows.append(row)
+        rows.sort(key=lambda r: key(min(r, key=key)))
+        red = Echelon(key)
+        for row in rows:
+            red.insert(row)
+        for s in range(level + 1):
+            if all(m in red.pivots for m in mons if sum(m) == s):
+                staircase = frozenset(m for m in mons if sum(m) < s and m not in red.pivots)
+                return FINITE, len(staircase), staircase, level, red, s
+        if level >= cap:
+            return NON_ISOLATED, None, frozenset(), level, None, None
+        level = min(level + JET_STEP, cap)
+
+
+@st.composite
+def germs_and_caps(draw):
+    """Small 2- and 3-variable germs of order >= 2, often isolated, with a cap."""
+    n = draw(st.sampled_from([2, 3]))
+    top = 7 if n == 2 else 4
+    exps = st.tuples(*[st.integers(0, top)] * n).filter(lambda e: 2 <= sum(e) <= top)
+    terms = draw(st.dictionaries(exps, st.sampled_from([1, -1, 2, -3, F(1, 2)]),
+                                 min_size=1, max_size=3))
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        terms[tuple(draw(st.integers(2, top)) if k == i else 0 for k in range(n))] = 1
+    f = SparsePoly(n, terms)
+    cap = draw(st.one_of(st.none(), st.integers(1, 3 * f.total_degree())))
+    order = draw(st.sampled_from(["negdegrevlex", "negdeglex"]))
+    queries = draw(st.lists(st.dictionaries(st.tuples(*[st.integers(0, 8)] * n),
+                                            st.integers(-3, 3), max_size=4), max_size=3))
+    return f, cap, order, [SparsePoly(n, q) for q in queries]
+
+
+@settings(max_examples=60, deadline=None)
+@given(germs_and_caps())
+@example((parse_poly("x^5+y^7", ["x", "y"]), 9, "negdegrevlex", []))
+@example((parse_poly("x^14+y^14-x^6*y^6", ["x", "y"]), 20, "negdeglex", []))
+@example((parse_poly("x^14+y^14-x^6*y^6", ["x", "y"]), None, "negdegrevlex", []))
+def test_jump_matches_fixed_schedule(case):
+    f, cap, order, queries = case
+    basis = milnor_basis(f, JetConfig(degree_cap=cap, local_order=order))
+    status, mu, staircase, level, red, s = fixed_schedule(f, cap, order)
+    assert (basis.status, basis.milnor_number, basis.staircase, basis.truncation_degree) == (
+        status, mu, staircase, level)
+    if status == FINITE:
+        for q in queries:
+            nf = red.normal_form({e: c for e, c in q.terms.items() if sum(e) < s})
+            assert normal_form(q, f, basis=basis).terms == nf

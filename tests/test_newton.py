@@ -50,12 +50,33 @@ def test_flags(h, g):
 
 
 def test_degenerate_boundary_is_undecided():
+    # the edge x^2+2xy+y^2 = (x+y)^2 is decided exactly, whatever the budget
     flags = newton_flags(
         parse_poly("x^2+2*x*y+y^2+z^3", ["x", "y", "z"]),
         MembershipBudget(degree_cap=12),
     )
     assert flags.convenient
+    assert flags.nondegenerate is False
+    # a non-simplicial 2-face still goes through the membership search: the
+    # triangle of x^3+y^3+z^3 with xyz inside is degenerate at (1, 1, 1)
+    flags = newton_flags(
+        parse_poly("x^3+y^3+z^3-3*x*y*z", ["x", "y", "z"]),
+        MembershipBudget(degree_cap=12),
+    )
+    assert flags.convenient
     assert flags.nondegenerate == "UNDECIDED"
+
+
+def test_edge_decided_by_gcd():
+    # on the edge the face polynomial is q(t) = 1 + c t + t^2 in t = x/y
+    # (x^2/y^2 for the second pair), and gcd(q, q') is constant iff c != +-2
+    for text, expected in [
+        ("x^2+2*x*y+y^2", False), ("x^2-2*x*y+y^2", False), ("x^2+3*x*y+y^2", True),
+        ("x^4+2*x^2*y^2+y^4", False), ("x^4+x^2*y^2+y^4", True),
+        ("x^6+x^4*y^2+y^6", True), ("x^6+3*x^4*y^2+3*x^2*y^4+y^6", False),
+    ]:
+        flags = newton_flags(parse_poly(text, ["x", "y"]))
+        assert flags.convenient and flags.nondegenerate is expected, text
 
 
 def test_newton_numbers(h, g):
