@@ -63,7 +63,6 @@ from .milnor import (
 )
 from .newton import (
     Facet,
-    MembershipBudget,
     NewtonFlags,
     NewtonPolyhedron,
     compact_faces,

@@ -80,7 +80,7 @@ def _render_newton(obj: dict) -> str:
         lines.append("compact facets:")
         for f in obj["facets"]:
             lines.append(f"  ell = ({', '.join(f['functional'])})  vertices {f['vertices']}")
-    for key in ("convenient", "nondegenerate", "newton_number", "phi"):
+    for key in ("convenient", "nondegenerate", "degenerate_face", "newton_number", "phi"):
         if key in obj:
             lines.append(f"{key}: {obj[key]}")
     return "\n".join(lines)
@@ -186,6 +186,8 @@ def _cmd_newton(args) -> int:
         fl = newton.newton_flags(f)
         obj["convenient"] = fl.convenient
         obj["nondegenerate"] = fl.nondegenerate
+        if fl.degenerate_face is not None:
+            obj["degenerate_face"] = [list(a) for a in fl.degenerate_face]
     elif args.phi:
         point = [int(x) for x in args.phi.split(",")]
         obj["point"] = point

@@ -210,10 +210,11 @@ def negative_answer_pipeline(params: FamilyParams, jet_cap: int | None = None) -
         # (i) Newton boundary flags for both germs
         fh = newton.newton_flags(h)
         fg = newton.newton_flags(g)
-        _require("i", fh.convenient and fh.nondegenerate is True,
-                 f"h flags: convenient={fh.convenient} nondegenerate={fh.nondegenerate}")
-        _require("i", fg.convenient and fg.nondegenerate is True,
-                 f"g flags: convenient={fg.convenient} nondegenerate={fg.nondegenerate}")
+        for name, fl in (("h", fh), ("g", fg)):
+            face = fl.degenerate_face
+            _require("i", fl.convenient and fl.nondegenerate,
+                     f"{name} flags: convenient={fl.convenient} nondegenerate={fl.nondegenerate}"
+                     + (f", degenerate face {[list(a) for a in face]}" if face else ""))
         record("i", "newton-flags", {
             "h": {"convenient": fh.convenient, "nondegenerate": fh.nondegenerate},
             "g": {"convenient": fg.convenient, "nondegenerate": fg.nondegenerate},
@@ -478,8 +479,7 @@ def _golden_items():
     def check_flags():
         fh = newton.newton_flags(ctx.h)
         fg = newton.newton_flags(ctx.g)
-        ok = (fh.convenient and fh.nondegenerate is True
-              and fg.convenient and fg.nondegenerate is True)
+        ok = fh.convenient and fh.nondegenerate and fg.convenient and fg.nondegenerate
         actual = ("both convenient and nondegenerate" if ok else
                   f"h: {fh.convenient}/{fh.nondegenerate}, g: {fg.convenient}/{fg.nondegenerate}")
         return ("both convenient and nondegenerate", actual)

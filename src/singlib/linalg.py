@@ -361,6 +361,10 @@ def hermite_basis(rows: list) -> list[tuple[int, ...]]:
         work[r], work[i0] = work[i0], work[r]
         if work[r][c] < 0:
             work[r] = [-x for x in work[r]]
+        # reduce the rows above into [0, pivot): the basis depends on the lattice only
+        for k in range(r):
+            q = work[k][c] // work[r][c]
+            work[k] = [a - q * b for a, b in zip(work[k], work[r])]
         r += 1
     basis = [row for row in work[:r] if any(x != 0 for x in row)]
     return [tuple(row) for row in basis]

@@ -102,12 +102,6 @@ def _monomials_of_degree(n: int, deg: int) -> list[ExpVec]:
             for rest in _monomials_of_degree(n - 1, deg - i)]
 
 
-def _monomials_upto(n: int, d: int):
-    """All exponent vectors in n variables of total degree <= d."""
-    for deg in range(d + 1):
-        yield from _monomials_of_degree(n, deg)
-
-
 def _extend_ranks(by_degree: list, rank: dict, n: int, level: int, key) -> None:
     """Append the monomials of each degree up to ``level`` not yet listed.
 

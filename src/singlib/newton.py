@@ -10,33 +10,28 @@ A compact face whose support is affinely independent (a simplex, vertices
 included) is nondegenerate for any nonzero coefficients: the equations
 q = t_j dq/dt_j = 0 say that an invertible matrix, with the columns
 (1, a) for the support points a, kills the vector of terms c_a t^a, and
-no term vanishes on the torus.  Every other face is first rewritten in
-coordinates for the affine lattice of its support (an integer change of
-monomials, harmless on the torus).  An edge then becomes a univariate q(t)
-with q(0) != 0, and q = t q' = 0 has a root on C* iff q has a repeated
-root, iff gcd(q, q') over Q is not constant: edges are decided exactly.
-A 2-face is certified by ideal membership of 1: the torus is adjoined
-through an auxiliary variable u with u*t_1*t_2 = 1, and the span of
-bounded-degree multiples of the generators is searched for 1.  A
-certificate proves the face has no critical point with all coordinates
-nonzero; exhausting the degree budget yields UNDECIDED, never a guess.
+no term vanishes on the torus.  Any other face (an edge or a 2-face) is
+rewritten in coordinates t_1..t_d of the affine lattice of its support and
+shifted so that q has no monomial factor.  Its critical points on the torus
+are the points of V(J), J = (q, dq/dt_1, ..., dq/dt_d), off the axes.  A
+grevlex Groebner basis G of J over Q decides exactly: 1 in G means V(J) is
+empty; a t_j with no pure power among the leading monomials means V(J)
+holds a curve, which the shift keeps off the axes; otherwise Q[t]/J has
+dimension s, and V(J) misses the torus iff (t_1...t_d)^s lies in J
+(Stickelberger).  For an edge G is gcd(q, q'): q has no repeated root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
 
 from .errors import (ConsistencyCheckError, NotConvenientError, PreconditionError,
                      UnsupportedDimensionError)
-from .linalg import (Echelon, feasible_point, hermite_basis, int_row, lattice_coords,
-                     solve_linear)
-from .milnor import _monomials_upto, negdegrevlex_key
+from .linalg import feasible_point, hermite_basis, lattice_coords, solve_linear
 from .poly import ExpVec, SparsePoly
-
-UNDECIDED = "UNDECIDED"
 
 
 @dataclass(frozen=True)
@@ -61,7 +56,8 @@ class NewtonPolyhedron:
 @dataclass(frozen=True)
 class NewtonFlags:
     convenient: bool
-    nondegenerate: bool | str  # True, False, or UNDECIDED
+    nondegenerate: bool
+    degenerate_face: tuple[ExpVec, ...] | None = None  # the first in compact_faces order
 
 
 def newton_polyhedron(f: SparsePoly) -> NewtonPolyhedron:
@@ -111,18 +107,17 @@ def phi_value(P: NewtonPolyhedron, p) -> Fraction:
 # compact face enumeration
 
 
+def _supported(a: ExpVec, above: list[ExpVec], n: int, level: tuple = ()) -> bool:
+    """Is some positive functional larger on ``above`` than at a, and zero on ``level``?"""
+    rows = [([Fraction(int(i == j)) for j in range(n)], Fraction(0), True) for i in range(n)]
+    for v in level:
+        rows += [(v, Fraction(0), False), ([-x for x in v], Fraction(0), False)]
+    rows += [([Fraction(ci - ai) for ci, ai in zip(c, a)], Fraction(0), True) for c in above]
+    return feasible_point(rows, n) is not None
+
+
 def _is_vertex(support: list[ExpVec], a: ExpVec, n: int) -> bool:
-    constraints = []
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        constraints.append((e, Fraction(0), True))
-    for c in support:
-        if c != a:
-            constraints.append(
-                ([Fraction(ci - ai) for ci, ai in zip(c, a)], Fraction(0), True)
-            )
-    return feasible_point(constraints, n) is not None
+    return _supported(a, [c for c in support if c != a], n)
 
 
 def _collinear(a: ExpVec, b: ExpVec, c: ExpVec) -> bool:
@@ -139,22 +134,10 @@ def _collinear(a: ExpVec, b: ExpVec, c: ExpVec) -> bool:
 def _edge_face(support: list[ExpVec], a: ExpVec, b: ExpVec, n: int):
     """Support points of a compact edge through a, b, or None."""
     on_line = [c for c in support if _collinear(a, b, c)]
-    off_line = [c for c in support if c not in on_line]
-    constraints = []
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        constraints.append((e, Fraction(0), True))
     diff = [Fraction(ai - bi) for ai, bi in zip(a, b)]
-    constraints.append((diff, Fraction(0), False))
-    constraints.append(([-d for d in diff], Fraction(0), False))
-    for c in off_line:
-        constraints.append(
-            ([Fraction(ci - ai) for ci, ai in zip(c, a)], Fraction(0), True)
-        )
-    if feasible_point(constraints, n) is None:
-        return None
-    return frozenset(on_line)
+    if _supported(a, [c for c in support if c not in on_line], n, (diff,)):
+        return frozenset(on_line)
+    return None
 
 
 def compact_faces(P: NewtonPolyhedron) -> list[frozenset[ExpVec]]:
@@ -177,17 +160,6 @@ def compact_faces(P: NewtonPolyhedron) -> list[frozenset[ExpVec]]:
 
 # ---------------------------------------------------------------------------
 # nondegeneracy
-
-
-# the membership search raises its degree by this much per attempt
-MEMBERSHIP_STEP = 2
-
-
-@dataclass
-class MembershipBudget:
-    """Degree budget for the torus-emptiness membership certificates."""
-
-    degree_cap: int = 40
 
 
 def _face_lattice_poly(f: SparsePoly, face: frozenset[ExpVec]) -> SparsePoly:
@@ -214,89 +186,120 @@ def _face_lattice_poly(f: SparsePoly, face: frozenset[ExpVec]) -> SparsePoly:
     return SparsePoly(d, terms)
 
 
-def _one_in_ideal(gens: list[SparsePoly], nvars: int, budget: MembershipBudget) -> bool:
-    """Search for a bounded-degree certificate that 1 lies in the ideal."""
-    key = negdegrevlex_key
-    int_gens = [int_row(g.terms) for g in gens]
-    start = max((g.total_degree() for g in gens), default=1) + 1
-    level = min(start, budget.degree_cap)
-    one = {(0,) * nvars: Fraction(1)}
-    while True:
-        red = Echelon(key)
-        rows = []
-        for g in int_gens:
-            gdeg = max(sum(e) for e in g)
-            for m in _monomials_upto(nvars, level - gdeg):
-                rows.append({tuple(a + b for a, b in zip(m, e)): c for e, c in g.items()})
-        rows.sort(key=lambda r: key(min(r, key=key)))
-        for row in rows:
-            red.insert(row)
-        if not red.normal_form(dict(one)):
-            return True
-        if level >= budget.degree_cap:
-            return False
-        level = min(level + MEMBERSHIP_STEP, budget.degree_cap)
+def _grevlex(e: ExpVec):
+    return (sum(e), tuple(-x for x in reversed(e)))
 
 
-def _remainder(a: list, b: list) -> list:
-    """a mod b for dense coefficient lists (constant first, no trailing zeros)."""
-    a = list(a)
-    while len(a) >= len(b):
-        f, k = a[-1] / b[-1], len(a) - len(b)
-        for i, c in enumerate(b):
-            a[k + i] -= f * c
-        while a and a[-1] == 0:
-            a.pop()
-    return a
+def _divides(a: ExpVec, b: ExpVec) -> bool:
+    return all(x <= y for x, y in zip(a, b))
 
 
-def _edge_nondegenerate(q: SparsePoly) -> bool:
-    """True iff gcd(q, q') is constant for a univariate q with q(0) != 0."""
-    a = [Fraction(0)] * (q.total_degree() + 1)
-    for (e,), c in q.terms.items():
-        a[e] = c
-    b = [i * c for i, c in enumerate(a)][1:]
-    while b:
-        a, b = b, _remainder(a, b)
-    return len(a) == 1
+def _reduce(p: dict, basis: list) -> dict:
+    """Normal form of p modulo basis, a list of (leading monomial, monic poly)."""
+    p = dict(p)
+    rem = {}
+    while p:
+        m = max(p, key=_grevlex)
+        c = p.pop(m)
+        if not c:
+            continue
+        for lm, g in basis:
+            if _divides(lm, m):
+                for e, a in g.items():
+                    if e != lm:
+                        k = tuple(x + y - z for x, y, z in zip(e, m, lm))
+                        p[k] = p.get(k, Fraction(0)) - c * a
+                break
+        else:
+            rem[m] = c
+    return rem
 
 
-def _face_nondegenerate(
-    f: SparsePoly, face: frozenset[ExpVec], budget: MembershipBudget
-) -> bool | str:
+def _s_poly(f: tuple[ExpVec, dict], g: tuple[ExpVec, dict]) -> dict:
+    """The S-polynomial of two monic (leading monomial, poly) pairs."""
+    top = tuple(map(max, f[0], g[0]))
+    out: dict = {}
+    for (lm, p), sign in ((f, 1), (g, -1)):
+        for e, c in p.items():
+            k = tuple(x + y - z for x, y, z in zip(e, top, lm))
+            out[k] = out.get(k, Fraction(0)) + sign * c
+    return out
+
+
+def _groebner(gens: list[dict]) -> list[tuple[ExpVec, dict]]:
+    """Groebner basis for grevlex, as (leading monomial, monic poly) pairs.
+
+    Buchberger's algorithm with the normal selection strategy (least lcm
+    first) and the Gebauer-Moeller update, which applies the product and
+    chain criteria and drops basis elements whose leading monomial a newer
+    one divides.  Stops at the first constant, returning it alone.
+    """
+    polys: list[tuple[ExpVec, dict]] = []  # every element added, by index
+    live: list[int] = []  # indices of the current basis
+    pairs: list[tuple] = []  # (grevlex key of the lcm, i, j, lcm) still to reduce
+    todo = list(gens)
+    while todo or pairs:
+        if todo:
+            p = todo.pop()
+        else:
+            pair = min(pairs)
+            pairs.remove(pair)
+            p = _s_poly(polys[pair[1]], polys[pair[2]])
+        r = _reduce(p, [polys[i] for i in live])
+        if not r:
+            continue
+        lm = max(r, key=_grevlex)
+        if not any(lm):
+            return [(lm, {lm: Fraction(1)})]
+        h = len(polys)
+        polys.append((lm, {e: c / r[lm] for e, c in r.items()}))
+        # a new pair is needed only if no other new pair's lcm divides its own
+        fresh = [(i, tuple(map(max, polys[i][0], lm))) for i in live]
+        kept = []
+        while fresh:
+            i, top = fresh.pop()
+            if not any(map(min, polys[i][0], lm)) or not any(
+                    _divides(t, top) for _, t in fresh + kept):
+                kept.append((i, top))
+        # the chain criterion: lm divides an old pair's lcm, and neither new lcm equals it
+        pairs = [pr for pr in pairs if not _divides(lm, pr[3])
+                 or pr[3] in (tuple(map(max, polys[pr[1]][0], lm)),
+                              tuple(map(max, polys[pr[2]][0], lm)))]
+        pairs += [(_grevlex(top), i, h, top) for i, top in kept
+                  if any(map(min, polys[i][0], lm))]
+        live = [i for i in live if not _divides(lm, polys[i][0])] + [h]
+    return [polys[i] for i in live]
+
+
+def _face_nondegenerate(f: SparsePoly, face: frozenset[ExpVec]) -> bool:
     q = _face_lattice_poly(f, face)
     d = q.nvars
     if len(face) == d + 1:
         return True  # a simplex (a vertex is the 0-simplex): see the module docstring
-    if d == 1:
-        return _edge_nondegenerate(q)  # the shift in _face_lattice_poly makes q(0) != 0
-    gens = [q] + [_t_partial(q, j) for j in range(d)]
-    # adjoin u * t_1 ... t_d - 1 in d + 1 variables
-    lifted = []
-    for g in gens:
-        lifted.append(SparsePoly(d + 1, {e + (0,): c for e, c in g.terms.items()}))
-    torus = SparsePoly(
-        d + 1,
-        {tuple([1] * d + [1]): Fraction(1), (0,) * (d + 1): Fraction(-1)},
-    )
-    lifted.append(torus)
-    if _one_in_ideal(lifted, d + 1, budget):
-        return True
-    return UNDECIDED
+    gens = [q.terms] + [
+        {e[:j] + (e[j] - 1,) + e[j + 1:]: c * e[j] for e, c in q.terms.items() if e[j]}
+        for j in range(d)
+    ]
+    basis = _groebner(gens)
+    leads = [lm for lm, _ in basis]
+    if not any(leads[0]):
+        return True  # 1 in J: no critical point at all
+    tops = []
+    for j in range(d):
+        powers = [lm[j] for lm in leads if not any(lm[:j] + lm[j + 1:])]
+        if not powers:
+            return False  # J has a curve, and it is not an axis: it meets the torus
+        tops.append(min(powers))
+    s = sum(1 for m in product(*map(range, tops))
+            if not any(_divides(lm, m) for lm in leads))
+    # Stickelberger: t_1...t_d vanishes on V(J) iff it is nilpotent mod J
+    r = {(0,) * d: Fraction(1)}
+    for _ in range(s):
+        r = _reduce({tuple(x + 1 for x in e): c for e, c in r.items()}, basis)
+    return not r
 
 
-def _t_partial(q: SparsePoly, j: int) -> SparsePoly:
-    """The logarithmic derivative t_j * dq/dt_j (termwise e_j scaling)."""
-    terms = {}
-    for e, c in q.terms.items():
-        if e[j]:
-            terms[e] = c * e[j]
-    return SparsePoly(q.nvars, terms)
-
-
-def newton_flags(
-    f: SparsePoly, budget: MembershipBudget | None = None
-) -> NewtonFlags:
+def newton_flags(f: SparsePoly) -> NewtonFlags:
     """Convenience and Kouchnirenko nondegeneracy of the Newton boundary."""
     P = newton_polyhedron(f)
     n = f.nvars
@@ -304,16 +307,10 @@ def newton_flags(
         any(all(e[j] == 0 for j in range(n) if j != i) and e[i] > 0 for e in P.support)
         for i in range(n)
     )
-    budget = budget or MembershipBudget()
-    verdict: bool | str = True
     for face in compact_faces(P):
-        res = _face_nondegenerate(f, face, budget)
-        if res is UNDECIDED:
-            verdict = UNDECIDED
-        elif res is False:
-            verdict = False
-            break
-    return NewtonFlags(convenient, verdict)
+        if not _face_nondegenerate(f, face):
+            return NewtonFlags(convenient, False, tuple(sorted(face)))
+    return NewtonFlags(convenient, True)
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +345,10 @@ def _area2_under_diagram(points: list[tuple[int, int]]) -> Fraction:
     return abs(total)
 
 
-def _project_polygon(vertices: list[ExpVec], functional) -> list[tuple[int, int]] | None:
+def _project_polygon(vertices: list[ExpVec], functional) -> list[tuple[int, int]]:
     drop = max(range(3), key=lambda i: functional[i])
     keep = [i for i in range(3) if i != drop]
-    return [(v[keep[0]], v[keep[1]]) for v in vertices], keep
+    return [(v[keep[0]], v[keep[1]]) for v in vertices]
 
 
 def _hull_order(points2d: list[tuple[int, int]]) -> list[int]:
@@ -376,7 +373,7 @@ def _volume6_under_diagram(P: NewtonPolyhedron) -> Fraction:
     total = Fraction(0)
     for F in P.facets:
         verts = sorted(F.vertices)
-        proj, _ = _project_polygon(verts, F.functional)
+        proj = _project_polygon(verts, F.functional)
         order = _hull_order(proj)
         pts = [verts[i] for i in order]
         for i in range(1, len(pts) - 1):

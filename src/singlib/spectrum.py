@@ -138,7 +138,7 @@ def spectrum_newton_2d(
         raise PreconditionError("spectrum_newton_2d needs exactly two variables")
     if flags is None:
         flags = newton_flags(f)
-    if not flags.convenient or flags.nondegenerate is not True:
+    if not (flags.convenient and flags.nondegenerate):
         raise PreconditionError(
             f"need convenient nondegenerate input (convenient={flags.convenient}, "
             f"nondegenerate={flags.nondegenerate})"

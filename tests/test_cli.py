@@ -74,7 +74,19 @@ def test_newton_subcommands(capsys):
 
     code, out, _ = run(capsys, "newton", "x^14+y^14-x^6*y^6", "--vars", "x,y", "--flags")
     obj = json.loads(out)
-    assert obj["convenient"] is True and obj["nondegenerate"] is True
+    assert obj == {"convenient": True, "nondegenerate": True}
+
+    # a non-simplicial 2-face with a critical point at (1, 1, 1), decided exactly
+    code, out, _ = run(capsys, "newton", "x^3+y^3+z^3-3*x*y*z", "--vars", "x,y,z", "--flags")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["nondegenerate"] is False
+    assert obj["degenerate_face"] == [[0, 0, 3], [0, 3, 0], [1, 1, 1], [3, 0, 0]]
+
+    code, out, _ = run(capsys, "newton", "x^2+2*x*y+y^2+z^3", "--vars", "x,y,z", "--flags",
+                       "--pretty")
+    assert code == 0
+    assert "degenerate_face: [[0, 2, 0], [1, 1, 0], [2, 0, 0]]" in out
 
     code, out, _ = run(capsys, "newton", "x^14+y^14-x^6*y^6+z^5", "--vars", "x,y,z",
                         "--phi", "10,3,2")

@@ -15,7 +15,7 @@ from singlib import (
     verify_paper,
 )
 from singlib.family import FamilyParams, certificate_json
-from singlib.poly import serialize
+from singlib.poly import parse_poly, serialize
 
 
 def test_make_family_reference_instance():
@@ -141,6 +141,21 @@ def test_pipeline_inconclusive_names_first_failed_step():
     assert "verdicts" not in cert
     # all steps recorded before the failure passed
     assert [s["id"] for s in cert["steps"]] == ["i", "ii", "iii", "iv"]
+
+
+def test_pipeline_names_the_degenerate_face():
+    p = make_family(7, 3, 5)
+
+    class Degenerate(FamilyParams):
+        @property
+        def g(self):
+            return parse_poly("x^2+2*x*y+y^2+z^3", ["x", "y", "z"])
+
+    cert = negative_answer_pipeline(Degenerate(p.a, p.b, p.c))
+    assert cert["status"] == "INCONCLUSIVE"
+    assert cert["failed_step"] == "i"
+    assert cert["failure"] == ("g flags: convenient=True nondegenerate=False, "
+                               "degenerate face [[0, 2, 0], [1, 1, 0], [2, 0, 0]]")
 
 
 def test_verify_paper_all_pass():

@@ -123,3 +123,7 @@ def test_hermite_basis_and_coords():
         assert c is not None
         rec = [sum(ci * bi[j] for ci, bi in zip(c, basis)) for j in range(3)]
         assert tuple(rec) == v
+    # the basis is reduced, so it depends on the lattice, not on the spanning rows
+    for rows in ([(1, 1, -2), (0, 1, -1)], [(0, 1, -1), (1, 0, -1)],
+                 [(2, -2, 0), (1, 1, -2), (0, 3, -3)]):
+        assert hermite_basis(rows) == [(1, 0, -1), (0, 1, -1)]

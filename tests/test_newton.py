@@ -1,12 +1,13 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from singlib import (
     NotConvenientError,
     PreconditionError,
+    SparsePoly,
     UnsupportedDimensionError,
     compact_faces,
     milnor_basis,
@@ -16,7 +17,7 @@ from singlib import (
     parse_poly,
     phi_value,
 )
-from singlib.newton import MembershipBudget
+from singlib.newton import _face_nondegenerate
 
 
 def test_facets_of_g(g):
@@ -43,28 +44,23 @@ def test_dimension_guard():
 def test_flags(h, g):
     assert newton_flags(h) == newton_flags(h).__class__(True, True)
     fg = newton_flags(g)
-    assert fg.convenient and fg.nondegenerate is True
+    assert fg.convenient and fg.nondegenerate is True and fg.degenerate_face is None
     assert not newton_flags(parse_poly("x^2*y^2", ["x", "y"])).convenient
     f22 = newton_flags(parse_poly("x^2+y^2", ["x", "y"]))
     assert f22.convenient and f22.nondegenerate is True
 
 
-def test_degenerate_boundary_is_undecided():
-    # the edge x^2+2xy+y^2 = (x+y)^2 is decided exactly, whatever the budget
-    flags = newton_flags(
-        parse_poly("x^2+2*x*y+y^2+z^3", ["x", "y", "z"]),
-        MembershipBudget(degree_cap=12),
-    )
+def test_degenerate_boundary_is_decided():
+    # the edge x^2+2xy+y^2 = (x+y)^2 is degenerate at x = -y
+    flags = newton_flags(parse_poly("x^2+2*x*y+y^2+z^3", ["x", "y", "z"]))
     assert flags.convenient
     assert flags.nondegenerate is False
-    # a non-simplicial 2-face still goes through the membership search: the
-    # triangle of x^3+y^3+z^3 with xyz inside is degenerate at (1, 1, 1)
-    flags = newton_flags(
-        parse_poly("x^3+y^3+z^3-3*x*y*z", ["x", "y", "z"]),
-        MembershipBudget(degree_cap=12),
-    )
+    assert flags.degenerate_face == ((0, 2, 0), (1, 1, 0), (2, 0, 0))
+    # the triangle of x^3+y^3+z^3 with xyz inside is degenerate at (1, 1, 1)
+    flags = newton_flags(parse_poly("x^3+y^3+z^3-3*x*y*z", ["x", "y", "z"]))
     assert flags.convenient
-    assert flags.nondegenerate == "UNDECIDED"
+    assert flags.nondegenerate is False
+    assert flags.degenerate_face == ((0, 0, 3), (0, 3, 0), (1, 1, 1), (3, 0, 0))
 
 
 def test_edge_decided_by_gcd():
@@ -77,6 +73,92 @@ def test_edge_decided_by_gcd():
     ]:
         flags = newton_flags(parse_poly(text, ["x", "y"]))
         assert flags.convenient and flags.nondegenerate is expected, text
+    # non-simplicial 2-faces: x^3+y^3+z^3+c*xyz has a torus critical point
+    # iff c^3 = -27, and over Q only c = -3
+    for text, expected in [
+        ("x^3+y^3+z^3-3*x*y*z", False), ("x^3+y^3+z^3+x*y*z", True),
+        ("x^3+y^3+z^3+3*x*y*z", True), ("x^3+y^3+z^3+1/2*x*y*z", True),
+        ("x^6+y^6+z^6-3*x^2*y^2*z^2", False),
+        ("x^4+y^4+z^4+x^2*y^2+y^2*z^2+z^2*x^2", True),
+    ]:
+        flags = newton_flags(parse_poly(text, ["x", "y", "z"]))
+        assert flags.convenient and flags.nondegenerate is expected, text
+    # on this 2-face t_1 t_2 is not in J, only its cube: the power s is needed
+    text = "-x^3*z^3+x^2*y^4+x^2*y^3*z-x^2*y^2*z^2+2*y^6"
+    assert newton_flags(parse_poly(text, ["x", "y", "z"])).nondegenerate is True
+
+
+def test_sextic_triangle():
+    # the monomials of degree 6 with coefficients (3i + 5j) mod 7 - 3; four
+    # of them vanish, which shears the lattice coordinates of the face unless
+    # its lattice basis is reduced.  The degenerate germ's vertex coefficients
+    # make every x_i df/dx_i vanish at (1, 1, 1).
+    vertices = ((6, 0, 0), (0, 6, 0), (0, 0, 6))
+    inner = {(i, j, 6 - i - j): F((3 * i + 5 * j) % 7 - 3)
+             for i in range(7) for j in range(7 - i) if 6 not in (i, j, 6 - i - j)}
+    degenerate = dict(inner)
+    for k, v in enumerate(vertices):
+        degenerate[v] = -F(sum(c * e[k] for e, c in inner.items()), 6)
+    assert all(degenerate[v] for v in vertices)
+    generic = {**inner, **{v: F(1) for v in vertices}}
+    assert newton_flags(SparsePoly(3, degenerate)).nondegenerate is False
+    assert newton_flags(SparsePoly(3, generic)).nondegenerate is True
+
+
+def _quadratic_form(A) -> SparsePoly:
+    terms = {}
+    for i in range(3):
+        for j in range(i, 3):
+            e = [0, 0, 0]
+            e[i] += 1
+            e[j] += 1
+            terms[tuple(e)] = A[i][j] * (1 if i == j else 2)
+    return SparsePoly(3, terms)
+
+
+def _edge_degenerate(A) -> bool:
+    """The edge in x_i, x_j of x^T A x has a double root: a_ij != 0, a_ij^2 = a_ii a_jj."""
+    return any(A[i][j] and A[i][j] ** 2 == A[i][i] * A[j][j] for i, j in ((0, 1), (0, 2), (1, 2)))
+
+
+def _triangle_degenerate(A) -> bool:
+    """x^T A x (nonzero diagonal) has a critical point on the torus.
+
+    That is a kernel vector of A with all coordinates nonzero: never at rank
+    3, always at rank 1 (the kernel is a plane, and not a coordinate plane
+    since a_ii != 0), and at rank 2 iff the cross product of two independent
+    rows has no zero entry.
+    """
+    def cross(u, v):
+        return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+    if sum(a * b for a, b in zip(A[0], cross(A[1], A[2]))):
+        return False  # rank 3
+    kernel = [k for k in (cross(A[0], A[1]), cross(A[0], A[2]), cross(A[1], A[2])) if any(k)]
+    return not kernel or all(kernel[0])
+
+
+_small = st.integers(-3, 3)
+_symmetric = st.tuples(*[_small] * 6).map(
+    lambda a: ((a[0], a[1], a[2]), (a[1], a[3], a[4]), (a[2], a[4], a[5])))
+# a sum of one or two rank-one forms lam * u u^T is singular
+_singular = st.lists(
+    st.tuples(st.sampled_from([-2, -1, 1, 2]), st.tuples(_small, _small, _small)),
+    min_size=1, max_size=2,
+).map(lambda parts: tuple(tuple(sum(lam * u[i] * u[j] for lam, u in parts) for j in range(3))
+                          for i in range(3)))
+
+
+@given(st.one_of(_symmetric, _singular))
+@settings(max_examples=120, deadline=None)
+def test_quadratic_forms_match_linear_algebra(A):
+    # the compact faces are the triangle, its three edges and its vertices
+    assume(all(A[i][i] for i in range(3)))
+    f = _quadratic_form(A)
+    flags = newton_flags(f)
+    assert flags.convenient
+    assert flags.nondegenerate is not (_edge_degenerate(A) or _triangle_degenerate(A)), A
+    # the triangle alone; at rank 1 its critical points form a line
+    assert _face_nondegenerate(f, frozenset(f.terms)) is not _triangle_degenerate(A), A
 
 
 def test_newton_numbers(h, g):
