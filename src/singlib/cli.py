@@ -189,9 +189,8 @@ def _cmd_newton(args) -> int:
         if fl.degenerate_face is not None:
             obj["degenerate_face"] = [list(a) for a in fl.degenerate_face]
     elif args.phi:
-        point = [int(x) for x in args.phi.split(",")]
-        obj["point"] = point
-        obj["phi"] = rat_to_str(newton.phi_value(P, point))
+        obj["point"] = args.phi
+        obj["phi"] = rat_to_str(newton.phi_value(P, args.phi))
     else:
         obj["facets"] = [
             {
@@ -347,6 +346,14 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _int_point(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated integers, got {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--pretty", action="store_true",
@@ -370,7 +377,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--flags", action="store_true")
     mode.add_argument("--number", action="store_true")
-    mode.add_argument("--phi", metavar="i,j,k", help="filtration value at a point")
+    mode.add_argument("--phi", metavar="i,j,k", type=_int_point,
+                      help="filtration value at a point")
     p.set_defaults(fn=_cmd_newton)
 
     p = sub.add_parser("spectrum", parents=[common], help="singularity spectrum")
@@ -402,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pm.add_argument("c", type=int)
     pm.set_defaults(fn=_cmd_family_make)
     ps = fam_sub.add_parser("sweep", parents=[common], allow_abbrev=False)
-    ps.add_argument("--bmax", type=int, required=True)
+    ps.add_argument("--bmax", type=_positive_int, required=True)
     ps.add_argument("--certify", action="store_true",
                     help="certify every instance; exit 1 if any is inconclusive")
     ps.set_defaults(fn=_cmd_family_sweep)

@@ -7,8 +7,8 @@ Three layers, all float-free:
   operations built on it (rank, echelon basis, subspace sum, nullspace,
   solve);
 * a strict-inequality feasibility solver (Fourier-Motzkin elimination
-  with exact back-substituted witnesses), used for positive-weight and
-  face-supporting-functional queries;
+  with exact back-substituted witnesses), used for positive-weight
+  queries;
 * integer lattice utilities (row-style Hermite reduction) for monomial
   changes of coordinates.
 
@@ -371,13 +371,16 @@ def hermite_basis(rows: list) -> list[tuple[int, ...]]:
 
 
 def lattice_coords(basis: list[tuple[int, ...]], v) -> tuple[int, ...] | None:
-    """Integer coordinates of v in the given triangular lattice basis."""
-    sol = solve_linear([[Fraction(x) for x in b] for b in zip(*basis)], list(v))
-    if sol is None:
-        return None
-    coords, null = sol
-    if null:  # basis not independent; should not happen for hermite output
-        return None
-    if any(c.denominator != 1 for c in coords):
-        return None
-    return tuple(int(c) for c in coords)
+    """Integer coordinates of v in a ``hermite_basis`` basis, or None off the lattice.
+
+    Solved by substitution on the rows' increasing pivots, then recombined:
+    a remainder left at a pivot stays in the residual.
+    """
+    residual = list(v)
+    coords = []
+    for row in basis:
+        j = next(j for j, x in enumerate(row) if x)
+        c = residual[j] // row[j]
+        residual = [r - c * x for r, x in zip(residual, row)]
+        coords.append(c)
+    return None if any(residual) else tuple(coords)

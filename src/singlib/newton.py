@@ -1,10 +1,12 @@
 """Newton polyhedron machinery for germs in at most three variables.
 
-Compact facets are found by brute force: every n-subset of the support is
-solved for a functional ell with ell = 1 on the subset; solutions with all
-coefficients positive that stay >= 1 on the whole support are facets.  The
-remaining compact faces (vertices and, for n = 3, edges) are recovered with
-exact Fourier-Motzkin feasibility queries for their supporting functionals.
+Gamma_+ = conv(supp f) + R^n_{>=0} is generated by the support points and
+the unit rays.  An n-subset of generators holding a point has an integer
+normal w; it spans a facet <w, x> = m iff w can be signed >= 0 and its least
+value m on the support is taken at the subset's points.  Compact facets have
+w > 0 and the functional w / m.  Every face is an intersection of facets, so
+closing the facets' (points, rays) under intersection lists all faces; the
+compact ones hold no ray.  No linear program and no rational solve is needed.
 
 A compact face whose support is affinely independent (a simplex, vertices
 included) is nondegenerate for any nonzero coefficients: the equations
@@ -26,11 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
+from math import gcd, lcm
+from operator import mul, sub
 
 from .errors import (ConsistencyCheckError, NotConvenientError, PreconditionError,
                      UnsupportedDimensionError)
-from .linalg import feasible_point, hermite_basis, lattice_coords, solve_linear
+from .linalg import hermite_basis, lattice_coords
 from .poly import ExpVec, SparsePoly
 
 
@@ -70,25 +73,14 @@ def newton_polyhedron(f: SparsePoly) -> NewtonPolyhedron:
     if f.constant_term() != 0:
         raise PreconditionError("germ must vanish at the origin")
     support = sorted(f.support())
-    found: dict[tuple[Fraction, ...], frozenset[ExpVec]] = {}
-    for subset in combinations(support, n):
-        rows = [[Fraction(e) for e in a] for a in subset]
-        sol = solve_linear(rows, [Fraction(1)] * n)
-        if sol is None or sol[1]:
-            continue  # singular or underdetermined subset
-        ell = sol[0]
-        if any(c <= 0 for c in ell):
-            continue
-        values = {a: sum((c * e for c, e in zip(ell, a)), Fraction(0)) for a in support}
-        if any(v < 1 for v in values.values()):
-            continue
-        found[tuple(ell)] = frozenset(a for a, v in values.items() if v == 1)
-    facets = tuple(
-        Facet(ell, found[ell]) for ell in sorted(found)
+    facets = sorted(
+        (Facet(tuple(Fraction(x, m) for x in w), points)
+         for w, (m, points, rays) in _facets(support, n).items() if not rays),
+        key=lambda F: F.functional,
     )
     den = lcm(*(c.denominator for F in facets for c in F.functional))
     forms = tuple(tuple(int(c * den) for c in F.functional) for F in facets)
-    return NewtonPolyhedron(frozenset(support), facets, n, forms, den)
+    return NewtonPolyhedron(frozenset(support), tuple(facets), n, forms, den)
 
 
 def phi_value(P: NewtonPolyhedron, p) -> Fraction:
@@ -104,58 +96,72 @@ def phi_value(P: NewtonPolyhedron, p) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# compact face enumeration
+# facets and faces of Gamma_+
 
 
-def _supported(a: ExpVec, above: list[ExpVec], n: int, level: tuple = ()) -> bool:
-    """Is some positive functional larger on ``above`` than at a, and zero on ``level``?"""
-    rows = [([Fraction(int(i == j)) for j in range(n)], Fraction(0), True) for i in range(n)]
-    for v in level:
-        rows += [(v, Fraction(0), False), ([-x for x in v], Fraction(0), False)]
-    rows += [([Fraction(ci - ai) for ci, ai in zip(c, a)], Fraction(0), True) for c in above]
-    return feasible_point(rows, n) is not None
+def _normal(dirs: list[ExpVec], n: int) -> ExpVec:
+    """An integer vector orthogonal to n - 1 vectors in Z^n, zero iff they are dependent."""
+    if n == 1:
+        return (1,)
+    if n == 2:
+        (u,) = dirs
+        return (u[1], -u[0])
+    u, v = dirs
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
-def _is_vertex(support: list[ExpVec], a: ExpVec, n: int) -> bool:
-    return _supported(a, [c for c in support if c != a], n)
+def _facets(support: list[ExpVec], n: int) -> dict[ExpVec, tuple]:
+    """Every facet of Gamma_+ as w -> (m, points, rays), w >= 0 primitive.
 
-
-def _collinear(a: ExpVec, b: ExpVec, c: ExpVec) -> bool:
-    u = [bi - ai for bi, ai in zip(b, a)]
-    v = [ci - ai for ci, ai in zip(c, a)]
-    # rank of {u, v} <= 1: all 2x2 minors vanish
-    for i in range(len(u)):
-        for j in range(i + 1, len(u)):
-            if u[i] * v[j] - u[j] * v[i] != 0:
-                return False
-    return True
-
-
-def _edge_face(support: list[ExpVec], a: ExpVec, b: ExpVec, n: int):
-    """Support points of a compact edge through a, b, or None."""
-    on_line = [c for c in support if _collinear(a, b, c)]
-    diff = [Fraction(ai - bi) for ai, bi in zip(a, b)]
-    if _supported(a, [c for c in support if c not in on_line], n, (diff,)):
-        return frozenset(on_line)
-    return None
+    The facet is <w, x> = m and holds the support points at level m and the
+    unit rays e_i with w_i = 0 (see the module docstring).
+    """
+    gens = support + [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    level: dict[ExpVec, tuple] = {}  # every primitive normal seen -> (m, points)
+    facets: dict[ExpVec, tuple] = {}
+    for first, *rest in combinations(range(len(gens)), n):
+        if first >= len(support):
+            break  # the remaining subsets hold rays only
+        p = support[first]
+        w = _normal([gens[k] if k >= len(support) else tuple(map(sub, gens[k], p))
+                     for k in rest], n)
+        if min(w) < 0:
+            w = tuple(-x for x in w)
+            if min(w) < 0:
+                continue  # w changes sign: the half-space misses a ray
+        g = gcd(*w)
+        if not g:
+            continue  # dependent directions: no hyperplane
+        w = tuple(x // g for x in w)
+        if w not in level:
+            values = [sum(map(mul, w, a)) for a in support]
+            m = min(values)
+            level[w] = (m, frozenset(a for a, v in zip(support, values) if v == m))
+        m, points = level[w]
+        if p in points and w not in facets:
+            facets[w] = (m, points, frozenset(i for i in range(n) if not w[i]))
+    return facets
 
 
 def compact_faces(P: NewtonPolyhedron) -> list[frozenset[ExpVec]]:
-    """Support sets of all compact faces of the Newton polyhedron."""
-    support = sorted(P.support)
-    n = P.nvars
-    faces: set[frozenset[ExpVec]] = set()
-    vertices = [a for a in support if _is_vertex(support, a, n)]
-    for a in vertices:
-        faces.add(frozenset([a]))
-    if n >= 2:
-        for a, b in combinations(vertices, 2):
-            e = _edge_face(support, a, b, n)
-            if e is not None:
-                faces.add(e)
-    for F in P.facets:
-        faces.add(F.vertices)
-    return sorted(faces, key=lambda s: (len(s), sorted(s)))
+    """Support sets of all compact faces of the Newton polyhedron, by size then points."""
+    return _compact_faces(sorted(P.support), P.nvars)
+
+
+def _compact_faces(support: list[ExpVec], n: int) -> list[frozenset[ExpVec]]:
+    """A face holds exactly the generators that every facet through it holds."""
+    facets = [(points, rays) for _, points, rays in _facets(support, n).values()]
+    faces = set(facets)
+    todo = list(facets)
+    while todo:
+        points, rays = todo.pop()
+        for fp, fr in facets:
+            face = (points & fp, rays & fr)
+            if face[0] and face not in faces:
+                faces.add(face)
+                todo.append(face)
+    return sorted((points for points, rays in faces if not rays),
+                  key=lambda s: (len(s), sorted(s)))
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +305,15 @@ def _face_nondegenerate(f: SparsePoly, face: frozenset[ExpVec]) -> bool:
     return not r
 
 
+def _missed_axes(support, n: int) -> list[int]:
+    """The coordinate axes that hold no support point."""
+    return [i for i in range(n) if not any(a[i] and not any(a[:i] + a[i + 1:]) for a in support)]
+
+
 def newton_flags(f: SparsePoly) -> NewtonFlags:
     """Convenience and Kouchnirenko nondegeneracy of the Newton boundary."""
     P = newton_polyhedron(f)
-    n = f.nvars
-    convenient = all(
-        any(all(e[j] == 0 for j in range(n) if j != i) and e[i] > 0 for e in P.support)
-        for i in range(n)
-    )
+    convenient = not _missed_axes(P.support, f.nvars)
     for face in compact_faces(P):
         if not _face_nondegenerate(f, face):
             return NewtonFlags(convenient, False, tuple(sorted(face)))
@@ -325,65 +332,29 @@ def _restricted_support(support, axes: tuple[int, ...]):
     return out
 
 
-def _axis_intercept(points_1d: list[tuple[int]]) -> int:
-    return min(p[0] for p in points_1d)
+def _area2_under_diagram(points: list[tuple[int, int]]) -> int:
+    """Twice the area between the axes and the diagram: a fan over its compact edges."""
+    total = 0
+    for _, edge, rays in _facets(sorted(points), 2).values():
+        if not rays:
+            (a0, a1), (b0, b1) = min(edge), max(edge)
+            total += abs(a0 * b1 - a1 * b0)
+    return total
 
 
-def _diagram_chain_2d(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Vertices of the 2-dimensional Newton diagram, x descending."""
-    verts = [p for p in points if _is_vertex(points, p, 2)]
-    return sorted(verts, key=lambda p: (-p[0], p[1]))
+def _volume6_under_diagram(P: NewtonPolyhedron) -> int:
+    """Six times the 3-volume below the diagram, a sum of lattice tetrahedra.
 
-
-def _area2_under_diagram(points: list[tuple[int, int]]) -> Fraction:
-    """Twice the area between the axes and the diagram (shoelace, exact)."""
-    chain = _diagram_chain_2d(points)
-    poly = [(Fraction(0), Fraction(0))] + [(Fraction(a), Fraction(b)) for a, b in chain]
-    total = Fraction(0)
-    for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]):
-        total += x1 * y2 - x2 * y1
-    return abs(total)
-
-
-def _project_polygon(vertices: list[ExpVec], functional) -> list[tuple[int, int]]:
-    drop = max(range(3), key=lambda i: functional[i])
-    keep = [i for i in range(3) if i != drop]
-    return [(v[keep[0]], v[keep[1]]) for v in vertices]
-
-
-def _hull_order(points2d: list[tuple[int, int]]) -> list[int]:
-    """Indices of the convex hull of coplanar projected points, in cyclic order."""
-    idx = sorted(range(len(points2d)), key=lambda i: points2d[i])
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-    lower, upper = [], []
-    for i in idx:
-        while len(lower) >= 2 and cross(points2d[lower[-2]], points2d[lower[-1]], points2d[i]) <= 0:
-            lower.pop()
-        lower.append(i)
-    for i in reversed(idx):
-        while len(upper) >= 2 and cross(points2d[upper[-2]], points2d[upper[-1]], points2d[i]) <= 0:
-            upper.pop()
-        upper.append(i)
-    return lower[:-1] + upper[:-1]
-
-
-def _volume6_under_diagram(P: NewtonPolyhedron) -> Fraction:
-    """Six times the 3-volume below the diagram: fan over the compact facets."""
-    total = Fraction(0)
+    Each compact facet is fanned from its least point v0 over its edges that
+    miss v0, and each triangle (v0, a, b) from the origin: |det(v0, a, b)|.
+    """
+    edges = [E for E in _compact_faces(sorted(P.support), 3) if len(E) > 1]
+    total = 0
     for F in P.facets:
-        verts = sorted(F.vertices)
-        proj = _project_polygon(verts, F.functional)
-        order = _hull_order(proj)
-        pts = [verts[i] for i in order]
-        for i in range(1, len(pts) - 1):
-            a, b, c = pts[0], pts[i], pts[i + 1]
-            det = (
-                a[0] * (b[1] * c[2] - b[2] * c[1])
-                - a[1] * (b[0] * c[2] - b[2] * c[0])
-                + a[2] * (b[0] * c[1] - b[1] * c[0])
-            )
-            total += abs(Fraction(det))
+        v0 = min(F.vertices)
+        for E in edges:
+            if E < F.vertices and v0 not in E:
+                total += abs(sum(map(mul, v0, _normal([min(E), max(E)], 3))))
     return total
 
 
@@ -392,25 +363,20 @@ def newton_number(f: SparsePoly) -> int:
     P = newton_polyhedron(f)
     n = f.nvars
     support = sorted(P.support)
-    for i in range(n):
-        if not any(
-            a[i] > 0 and all(a[j] == 0 for j in range(n) if j != i) for a in support
-        ):
-            raise NotConvenientError(f"support misses axis {i}")
+    missed = _missed_axes(support, n)
+    if missed:
+        raise NotConvenientError(f"support misses axis {missed[0]}")
     # V_k = total k-volume under the diagram in all k-dim coordinate subspaces
-    total = Fraction(-1) ** n  # k = 0 term: (-1)^n * 0! * V_0 with V_0 = 1
+    total = (-1) ** n  # k = 0 term: (-1)^n * 0! * V_0 with V_0 = 1
     for k in range(1, n + 1):
-        sign = Fraction(-1) ** (n - k)
-        vk_scaled = Fraction(0)  # k! * V_k, an integer
+        vk_scaled = 0  # k! * V_k
         for axes in combinations(range(n), k):
             pts = _restricted_support(support, axes)
             if k == 1:
-                vk_scaled += _axis_intercept(pts)
+                vk_scaled += min(pts)[0]
             elif k == 2:
                 vk_scaled += _area2_under_diagram(pts)
             else:
                 vk_scaled += _volume6_under_diagram(P)
-        total += sign * vk_scaled
-    if total.denominator != 1:
-        raise ConsistencyCheckError(f"Newton number {total} is not an integer")
-    return int(total)
+        total += (-1) ** (n - k) * vk_scaled
+    return total

@@ -96,6 +96,14 @@ def test_newton_subcommands(capsys):
                        "--phi", "1,1")
     assert code == 2 and "3 coordinates" in err
 
+    # a malformed point is named as such, not as a raw int() error
+    for point in ("1,,1", "1/2,1", "x"):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "newton", "x^2+y^3", "--vars", "x,y", "--phi", point)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--phi" in err and "comma-separated integers" in err, err
+
 
 def test_spectrum_methods(capsys):
     code, out, _ = run(capsys, "spectrum", "x^2+y^3", "--vars", "x,y", "--method", "wh")
@@ -206,6 +214,15 @@ def test_family_sweep_certify(capsys, monkeypatch):
     assert obj["instances"][0]["failed_step"] == "i"
     assert obj["status_counts"] == {"INCONCLUSIVE": 1}
     assert obj["failed_step_counts"] == {"i": 1}
+
+
+def test_family_sweep_bmax_is_positive(capsys):
+    # an empty sweep is not a result: --bmax takes the same type as --jet-cap
+    for argv in (("--bmax", "0"), ("--bmax", "-2", "--certify"), ("--bmax", "x")):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "family", "sweep", *argv)
+        assert exc.value.code == 2
+        assert "--bmax" in capsys.readouterr().err
 
 
 def test_family_certify_simplex_face_instance(capsys):

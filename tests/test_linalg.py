@@ -127,3 +127,23 @@ def test_hermite_basis_and_coords():
     for rows in ([(1, 1, -2), (0, 1, -1)], [(0, 1, -1), (1, 0, -1)],
                  [(2, -2, 0), (1, 1, -2), (0, 3, -3)]):
         assert hermite_basis(rows) == [(1, 0, -1), (0, 1, -1)]
+
+
+_rows = st.lists(st.tuples(*[st.integers(-6, 6)] * 3), min_size=1, max_size=3)
+
+
+@given(_rows, st.tuples(*[st.integers(-4, 4)] * 3), st.tuples(*[st.integers(-9, 9)] * 3))
+@settings(max_examples=150, deadline=None)
+def test_lattice_coords_match_rational_solve(rows, mult, v):
+    basis = hermite_basis(rows)
+    on = tuple(sum(c * b[j] for c, b in zip(mult, basis)) for j in range(3))
+    for w in (on, v):
+        # the oracle: the unique rational solution, accepted iff it is integral
+        sol = solve_linear([list(col) for col in zip(*basis)], list(w)) if basis else None
+        expected = None
+        if not basis:
+            expected = () if not any(w) else None
+        elif sol is not None and all(c.denominator == 1 for c in sol[0]):
+            expected = tuple(int(c) for c in sol[0])
+        assert lattice_coords(basis, w) == expected, (rows, w)
+    assert lattice_coords(basis, on) == tuple(mult[:len(basis)])

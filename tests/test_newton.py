@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,6 +18,7 @@ from singlib import (
     parse_poly,
     phi_value,
 )
+from singlib.linalg import feasible_point, rank, solve_linear
 from singlib.newton import _face_nondegenerate
 
 
@@ -182,6 +184,8 @@ def test_kouchnirenko_equality_on_corpus():
         ("x^2+y^2+z^2", ["x", "y", "z"]),
         ("x^14+y^14-x^6*y^6", ["x", "y"]),
         ("x^14+y^14-x^6*y^6+z^5", ["x", "y", "z"]),
+        # a quadrilateral compact facet, fanned from one vertex
+        ("x^4+y^4+z^6+2*x^2*z^2+3*y^2*z^2", ["x", "y", "z"]),
     ]
     for text, names in corpus:
         f = parse_poly(text, names)
@@ -241,6 +245,75 @@ def test_compact_faces_of_g(g):
     sizes = sorted(len(s) for s in faces)
     # 4 vertices, 5 edges, 2 facets
     assert sizes == [1, 1, 1, 1, 2, 2, 2, 2, 2, 3, 3]
+
+
+def _oracle_compact_faces(support, n):
+    """Compact faces by the positive-functional rule, one LP per candidate.
+
+    A candidate T is the set of support points on the affine hull of an
+    affinely independent subset; it is a compact face iff some functional
+    w > 0 is constant on T and larger on the rest of the support.
+    """
+    faces = {}
+    for k in range(1, n + 1):
+        for subset in combinations(support, k):
+            def diffs(points, base=subset[0]):
+                return [tuple(x - y for x, y in zip(a, base)) for a in points]
+            if rank(diffs(subset)) != k - 1:
+                continue
+            T = frozenset(a for a in support if rank(diffs(subset + (a,))) == k - 1)
+            if T in faces:
+                continue
+            rows = [(tuple(int(i == j) for j in range(n)), 0, True) for i in range(n)]
+            for d in diffs(T):
+                rows += [(d, 0, False), (tuple(-x for x in d), 0, False)]
+            rows += [(d, 0, True) for d in diffs(a for a in support if a not in T)]
+            faces[T] = feasible_point(rows, n) is not None
+    return sorted((T for T, ok in faces.items() if ok), key=lambda s: (len(s), sorted(s)))
+
+
+def _supports(n):
+    point = st.tuples(*[st.integers(0, 4)] * n)
+    free = st.lists(point, min_size=1, max_size=7)
+    # points on a line through the orthant, and on a plane sum(a) = c
+    line = st.tuples(point, point, st.lists(st.integers(0, 3), min_size=1, max_size=7)).map(
+        lambda t: [tuple(a + k * d for a, d in zip(t[0], t[1])) for k in t[2]])
+    plane = st.tuples(st.integers(1, 5), st.lists(point, min_size=1, max_size=7)).map(
+        lambda t: [a[:-1] + (t[0] + a[-1] - sum(a),) for a in t[1]
+                   if 0 <= t[0] + a[-1] - sum(a)])
+    return st.one_of(free, line, plane).map(
+        lambda pts: sorted({a for a in pts if any(a)})).filter(bool)
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), _supports(n))))
+@settings(max_examples=100, deadline=None)
+def test_compact_faces_match_lp_oracle(case):
+    n, support = case
+    P = newton_polyhedron(SparsePoly(n, {a: F(1) for a in support}))
+    expected = _oracle_compact_faces(support, n)
+    assert compact_faces(P) == expected
+    # the compact facets are the (n-1)-dimensional faces, ell = 1 on each
+    facets = []
+    for T in expected:
+        pts = sorted(T)
+        if rank([tuple(x - y for x, y in zip(a, pts[0])) for a in pts]) == n - 1:
+            (ell, null) = solve_linear([list(a) for a in pts], [1] * len(pts))
+            assert not null
+            facets.append((ell, T))
+    assert [(Fc.functional, Fc.vertices) for Fc in P.facets] == sorted(facets)
+
+
+def test_dense_sextic_triangle():
+    # all 28 monomials of degree 6: one compact facet, the triangle, holds them all
+    support = [(i, j, 6 - i - j) for i in range(7) for j in range(7 - i)]
+    f = SparsePoly(3, {a: F(1 + (2 * a[0] + 3 * a[1]) % 5) for a in support})
+    P = newton_polyhedron(f)
+    assert [(Fc.functional, Fc.vertices) for Fc in P.facets] == [
+        ((F(1, 6),) * 3, frozenset(support))]
+    faces = compact_faces(P)
+    assert [len(s) for s in faces] == [1, 1, 1, 7, 7, 7, 28]
+    assert {a for s in faces[:3] for a in s} == {(6, 0, 0), (0, 6, 0), (0, 0, 6)}
+    assert newton_flags(f) == newton_flags(f).__class__(True, True)
 
 
 def test_kouchnirenko_equality_on_seeded_random_germs():
