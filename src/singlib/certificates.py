@@ -3,9 +3,10 @@
 The central object is the filtered nilpotent module (FNM): a finite
 dimensional rational vector space M with a nilpotent operator N and an
 exhaustive increasing filtration G preserved by N, G_j = 0 for j < 0.  The
-checkers answer, entirely by exact subspace arithmetic on image chains
-(the echelon bases of V, N(V), N^2(V), ... down to 0 for an N-stable V,
-each one N applied to the previous basis; no power of N is ever formed):
+checkers answer by exact subspace arithmetic on the image chains that the
+module builds once, in ints, for every level V: the echelon bases of V,
+N(V), N^2(V), ... down to 0, each D N applied to the previous basis, for
+the lcm D of N's denominators (no power of N is ever formed).  They give:
 
 * the dimensions of the graded pieces Gr^G_j M and Gr^G_j (M / NM), the
   induced nilpotency order on each graded piece, and the global nilpotency
@@ -27,11 +28,12 @@ an exact min-cost bipartite assignment.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import ConsistencyCheckError, InvalidFNMError, NotARootError, PreconditionError
-from .linalg import Vec, echelon_basis, mat_vec, rank, subspace_sum
+from .linalg import Vec, echelon_basis, mat_vec, rank
 from .matching import min_cost_perfect_matching
 from .ratio import rat_from_str, rat_to_str
 from .spectrum import Spectrum
@@ -132,71 +134,77 @@ def delta_matching(a: AnnotatedSpectrum, b) -> tuple[int, ...] | None:
 
 @dataclass(frozen=True)
 class FilteredNilpotentModule:
-    """(M, N, G): nilpotent N on Q^dim with an N-stable filtration G."""
+    """(M, N, G): nilpotent N on Q^dim with an N-stable filtration G.
+
+    Construction checks it and builds, once and in ints, the image chain of
+    every listed level (the top one is M's), which the checkers read.
+    """
 
     dim: int
     N: tuple[tuple[Fraction, ...], ...]
     # filtration jumps: (level, spanning vectors); G_j = span of levels <= j
     G: tuple[tuple[int, tuple[Vec, ...]], ...]
+    _chains: tuple = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.dim < 1:
+        dim = self.dim
+        if dim < 1:
             raise InvalidFNMError("dim must be positive")
         N = tuple(tuple(Fraction(x) for x in row) for row in self.N)
-        if len(N) != self.dim or any(len(r) != self.dim for r in N):
+        if len(N) != dim or any(len(r) != dim for r in N):
             raise InvalidFNMError("N must be dim x dim")
-        G = tuple(
-            (int(lvl), tuple(tuple(Fraction(x) for x in v) for v in vecs))
-            for lvl, vecs in self.G
-        )
+        G = tuple(sorted((int(lvl), tuple(tuple(Fraction(x) for x in v) for v in vecs))
+                         for lvl, vecs in self.G))
         object.__setattr__(self, "N", N)
-        object.__setattr__(self, "G", tuple(sorted(G)))
-        self._validate()
-
-    def _validate(self):
-        if any(len(v) != self.dim for _, vecs in self.G for v in vecs):
+        object.__setattr__(self, "G", G)
+        if any(len(v) != dim for _, vecs in G for v in vecs):
             raise InvalidFNMError("spanning vectors must have length dim")
-        if not self.G:
+        if not G:
             raise InvalidFNMError("filtration must have at least one level")
-        if any(lvl < 0 for lvl, _ in self.G):
+        if any(lvl < 0 for lvl, _ in G):
             raise InvalidFNMError("filtration levels must be >= 0 (G_j = 0 below)")
-        levels = [lvl for lvl, _ in self.G]
+        levels = [lvl for lvl, _ in G]
         if len(set(levels)) != len(levels):
             raise InvalidFNMError("duplicate filtration level")
-        identity = [[int(i == j) for j in range(self.dim)] for i in range(self.dim)]
-        _chain(self.N, identity)  # raises unless N is nilpotent
-        top = self.level_basis(self.max_level())
-        if len(top) != self.dim:
+        # D N has the images of N on every subspace, for the lcm D of its denominators
+        den = lcm(*(x.denominator for row in N for x in row))
+        n = [[int(x * den) for x in row] for row in N]
+        m_chain = _chain(n, [tuple(int(i == j) for j in range(dim)) for i in range(dim)])
+        bases, basis = [], []
+        for _, vecs in G:
+            basis = echelon_basis(basis + list(vecs))
+            bases.append(basis)
+        if len(basis) != dim:
             raise InvalidFNMError("filtration is not exhaustive")
-        for lvl, _ in self.G:
-            basis = self.level_basis(lvl)
-            image = [mat_vec(self.N, v) for v in basis]
-            if len(subspace_sum(basis, image)) != len(basis):
+        chains = []
+        for lvl, basis in zip(levels, bases):
+            image = echelon_basis([mat_vec(n, v) for v in basis])
+            if rank(basis + image) != len(basis):
                 raise InvalidFNMError(f"N does not preserve G_{lvl}")
+            chains.append(m_chain if len(basis) == dim else [basis] + _chain(n, image))
+        object.__setattr__(self, "_chains", tuple(chains))
 
     def max_level(self) -> int:
         return max(lvl for lvl, _ in self.G)
 
     def level_basis(self, j: int) -> list[Vec]:
-        """An echelon basis of G_j (empty for j < 0).
-
-        It is not reduced: the checkers read only dimensions and images
-        under N, which any basis gives.
-        """
-        vecs = [v for lvl, spans in self.G if lvl <= j for v in spans]
-        return echelon_basis(vecs)
+        """An echelon basis of G_j in ints (not reduced: the checkers read
+        only dimensions and images under N); empty below the first level."""
+        below = [chain[0] for (lvl, _), chain in zip(self.G, self._chains) if lvl <= j]
+        return list(below[-1]) if below else []
 
     def full_basis(self) -> list[Vec]:
         return self.level_basis(self.max_level())
 
 
 def _chain(N, basis: list[Vec]) -> list[list[Vec]]:
-    """Echelon bases of V, N(V), N^2(V), ... down to 0, for V = span(basis).
+    """Echelon bases of V, N(V), N^2(V), ... down to 0, from an int echelon
+    basis of V and an int matrix N.
 
     V must be N-stable, so that the images are nested: if the dimension
     stops falling above 0, N is invertible on that image and not nilpotent.
     """
-    chain = [echelon_basis(basis)]
+    chain = [basis]
     while chain[-1]:
         image = echelon_basis([mat_vec(N, v) for v in chain[-1]])
         if len(image) == len(chain[-1]):
@@ -270,23 +278,23 @@ def fnm_report(M: FilteredNilpotentModule) -> FNMReport:
     At level j, the piece ranks dim(N^k G_j + G_{j-1}) - dim G_{j-1} up to
     the first 0 are the ranks of the powers of the induced map on Gr_j.
     """
-    ambient_chain = _chain(M.N, M.full_basis())
-    ambient = _jordan_from_ranks([len(img) for img in ambient_chain])
-    n_image = ambient_chain[1]  # dim M > 0, so the chain has two entries
+    m_chain = M._chains[-1]  # the top level is M
+    ambient = _jordan_from_ranks([len(img) for img in m_chain])
+    n_image = m_chain[1]  # dim M > 0, so the chain has two entries
     levels = []
     graded: list[int] = []
     prev_plus_im = len(n_image)
     below: list[Vec] = []
-    for lvl, _ in M.G:
-        basis = M.level_basis(lvl)
+    for (lvl, _), chain in zip(M.G, M._chains):
+        basis = chain[0]
         piece_ranks = []
-        for img in _chain(M.N, basis):
-            r = len(subspace_sum(img, below)) - len(below)
+        for img in chain:
+            r = rank(img + below) - len(below)
             piece_ranks.append(r)
             if r == 0:
                 break
         graded.extend(_jordan_from_ranks(piece_ranks))
-        plus_im = len(subspace_sum(basis, n_image))
+        plus_im = rank(basis + n_image)
         levels.append(LevelReport(lvl, len(basis), piece_ranks[0], plus_im - prev_plus_im,
                                   len(piece_ranks) - 1))
         prev_plus_im = plus_im
@@ -313,11 +321,11 @@ def power_strictness(M: FilteredNilpotentModule, k: int) -> bool:
 
     dim(N^k M & G_j) is read as dim N^k M + dim G_j - dim(N^k M + G_j).
     """
-    full_image = _power_image(_chain(M.N, M.full_basis()), k)
-    for lvl, _ in M.G:
-        basis = M.level_basis(lvl)
+    full_image = _power_image(M._chains[-1], k)
+    for chain in M._chains:
+        basis = chain[0]
         meet = len(full_image) + len(basis) - rank(full_image + basis)
-        if meet != len(_power_image(_chain(M.N, basis), k)):
+        if meet != len(_power_image(chain, k)):
             return False
     return True
 
@@ -343,24 +351,38 @@ def fnm_to_json(M: FilteredNilpotentModule) -> str:
     return json.dumps(obj, indent=2)
 
 
+def _typed(x, kind: type, what: str):
+    """x itself when its JSON type is ``kind`` (a bool is not an int)."""
+    if type(x) is not kind:
+        raise InvalidFNMError(f"malformed FNM object: {what} must be a JSON "
+                              f"{kind.__name__}, not {json.dumps(x)}")
+    return x
+
+
+def _rats(xs, what: str) -> list[Fraction]:
+    return [rat_from_str(_typed(x, str, f"an entry of {what}")) for x in _typed(xs, list, what)]
+
+
 def fnm_from_json(text: str) -> FilteredNilpotentModule:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an int literal past the digit limit
         raise InvalidFNMError(f"not valid JSON: {e}") from e
     try:
-        dim = int(obj["dim"])
-        flat = [rat_from_str(s) for s in obj["N"]]
+        obj = _typed(obj, dict, "the module")
+        dim = _typed(obj["dim"], int, "dim")
+        flat = _rats(obj["N"], "N")
         if len(flat) != dim * dim:
             raise InvalidFNMError("N must have dim*dim entries (row-major)")
         N = tuple(tuple(flat[i * dim : (i + 1) * dim]) for i in range(dim))
         G = tuple(
             (
-                int(entry["level"]),
-                tuple(tuple(rat_from_str(x) for x in v) for v in entry["spanning_vectors"]),
+                _typed(_typed(entry, dict, "a G entry")["level"], int, "level"),
+                tuple(tuple(_rats(v, "a spanning vector"))
+                      for v in _typed(entry["spanning_vectors"], list, "spanning_vectors")),
             )
-            for entry in obj["G"]
+            for entry in _typed(obj["G"], list, "G")
         )
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+    except (KeyError, ValueError, ZeroDivisionError) as e:
         raise InvalidFNMError(f"malformed FNM object: {e}") from e
     return FilteredNilpotentModule(dim, N, G)

@@ -22,6 +22,7 @@ import json
 import os
 import sys
 from collections import Counter
+from dataclasses import asdict
 
 from . import certificates, family, milnor, newton, spectrum
 from .errors import (
@@ -260,16 +261,7 @@ def _cmd_fnm_check(args) -> int:
     obj = {
         "dim": rep.dim,
         "m_tilde": rep.m_tilde,
-        "levels": [
-            {
-                "level": lv.level,
-                "dim_g": lv.dim_g,
-                "dim_gr": lv.dim_gr,
-                "dim_gr_coinvariants": lv.dim_gr_coinvariants,
-                "nilpotency_order": lv.nilpotency_order,
-            }
-            for lv in rep.levels
-        ],
+        "levels": [asdict(lv) for lv in rep.levels],  # LevelReport's fields, in order
         "strict": certificates.strictness_check(M),
         "jordan_ambient": list(rep.jordan_ambient),
         "jordan_graded": list(rep.jordan_graded),

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-Outcomes that a batch pipeline must survive (a non-isolated singularity, an
-undecided nondegeneracy test) are reported as result values, not exceptions;
+Outcomes that a batch pipeline must survive (a non-isolated singularity, a
+degenerate Newton face) are reported as result values, not exceptions;
 only genuine precondition violations and malformed inputs raise.
 """
 

@@ -327,12 +327,8 @@ def negative_answer_pipeline(params: FamilyParams, jet_cap: int | None = None) -
         })
 
         # (x) assemble the two-level module and run every checker
-        M = FilteredNilpotentModule(
-            2,
-            ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))),
-            ((0, ((Fraction(0), Fraction(1)),)),
-             (1, ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))))),
-        )
+        M = FilteredNilpotentModule(2, ((0, 0), (1, 0)),
+                                    ((0, ((0, 1),)), (1, ((1, 0), (0, 1)))))
         report = certificates.fnm_report(M)
         verdict = report.question1(0)
         strict = certificates.strictness_check(M)

@@ -4,8 +4,7 @@ Three layers, all float-free:
 
 * one row-reduction kernel, ``Echelon``: fraction-free (Bareiss-style)
   elimination of sparse integer rows keyed by column, with the dense
-  operations built on it (rank, echelon basis, subspace sum, nullspace,
-  solve);
+  operations built on it (rank, echelon basis, nullspace, solve);
 * a strict-inequality feasibility solver (Fourier-Motzkin elimination
   with exact back-substituted witnesses), used for positive-weight
   queries;
@@ -13,21 +12,19 @@ Three layers, all float-free:
   changes of coordinates.
 
 Dense vectors are tuples or lists of ints or ``Fraction``; matrices are
-lists of rows.  Results are tuples of ``Fraction``.
+lists of rows.  ``echelon_basis`` returns int rows, the solvers tuples of
+``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import ConsistencyCheckError
 
-Vec = tuple[Fraction, ...]
-
-
-def _as_vec(v) -> Vec:
-    return tuple(Fraction(x) for x in v)
+Vec = tuple[int | Fraction, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -129,30 +126,25 @@ def _echelon(rows: list) -> tuple[Echelon, int]:
     return ech, ncols
 
 
-def echelon_basis(vectors: list) -> list[Vec]:
-    """An echelon basis of the span: the pivot rows by leading column.
+def echelon_basis(vectors: list) -> list[tuple[int, ...]]:
+    """An echelon basis of the span: the int pivot rows by leading column.
 
     The rows are scaled to integers and not reduced above their pivots; no
     caller needs the reduced form, since every caller reads dimensions or
     applies a map to the basis.
     """
     ech, ncols = _echelon(list(vectors))
-    zero = Fraction(0)
     basis = []
     for c in sorted(ech.pivots):
-        row = [zero] * ncols
+        row = [0] * ncols
         for j, x in ech.pivots[c].items():
-            row[j] = Fraction(x)
+            row[j] = x
         basis.append(tuple(row))
     return basis
 
 
 def rank(vectors: list) -> int:
     return len(_echelon(list(vectors))[0].pivots)
-
-
-def subspace_sum(a: list[Vec], b: list[Vec]) -> list[Vec]:
-    return echelon_basis(list(a) + list(b))
 
 
 def _back_substitute(pivots: dict, ncols: int, x: list[Fraction], rhs: bool) -> Vec:
@@ -209,8 +201,7 @@ def solve_linear(rows: list, rhs: list) -> tuple[Vec, list[Vec]] | None:
 
 
 def mat_vec(m: list, v) -> Vec:
-    v = _as_vec(v)
-    return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +274,7 @@ def feasible_point(constraints: list, nvars: int) -> list[Fraction] | None:
     """
     system: list[Constraint] = []
     for coeffs, rhs, strict in constraints:
-        n = _normalize((_as_vec(coeffs), Fraction(rhs), bool(strict)))
+        n = _normalize((tuple(map(Fraction, coeffs)), Fraction(rhs), bool(strict)))
         if n is not None:
             system.append(n)
     stages = [system]

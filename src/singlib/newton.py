@@ -47,13 +47,14 @@ class Facet:
 
 @dataclass(frozen=True)
 class NewtonPolyhedron:
-    """Support and compact facets; ``forms[i] / den`` is facet i's functional."""
+    """Support, compact facets and faces; ``forms[i] / den`` is facet i's functional."""
 
     support: frozenset[ExpVec]
     facets: tuple[Facet, ...]
     nvars: int
     forms: tuple[tuple[int, ...], ...]
     den: int
+    faces: tuple[frozenset[ExpVec], ...]  # by size, then points
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ class NewtonFlags:
 
 
 def newton_polyhedron(f: SparsePoly) -> NewtonPolyhedron:
-    """Compact facets of the Newton polyhedron of f, in lex functional order."""
+    """Compact facets (lex functional order) and faces of the Newton polyhedron of f."""
     n = f.nvars
     if n > 3:
         raise UnsupportedDimensionError(f"{n} variables (supported: n <= 3)")
@@ -73,14 +74,27 @@ def newton_polyhedron(f: SparsePoly) -> NewtonPolyhedron:
     if f.constant_term() != 0:
         raise PreconditionError("germ must vanish at the origin")
     support = sorted(f.support())
+    all_facets = _facets(support, n)
     facets = sorted(
         (Facet(tuple(Fraction(x, m) for x in w), points)
-         for w, (m, points, rays) in _facets(support, n).items() if not rays),
+         for w, (m, points, rays) in all_facets.items() if not rays),
         key=lambda F: F.functional,
     )
     den = lcm(*(c.denominator for F in facets for c in F.functional))
     forms = tuple(tuple(int(c * den) for c in F.functional) for F in facets)
-    return NewtonPolyhedron(frozenset(support), tuple(facets), n, forms, den)
+    # a face holds exactly the generators that every facet through it holds
+    facet_sets = [(points, rays) for _, points, rays in all_facets.values()]
+    closed, todo = set(facet_sets), list(facet_sets)
+    while todo:
+        points, rays = todo.pop()
+        for fp, fr in facet_sets:
+            face = (points & fp, rays & fr)
+            if face[0] and face not in closed:
+                closed.add(face)
+                todo.append(face)
+    faces = sorted((points for points, rays in closed if not rays),
+                   key=lambda s: (len(s), sorted(s)))
+    return NewtonPolyhedron(frozenset(support), tuple(facets), n, forms, den, tuple(faces))
 
 
 def phi_value(P: NewtonPolyhedron, p) -> Fraction:
@@ -145,23 +159,7 @@ def _facets(support: list[ExpVec], n: int) -> dict[ExpVec, tuple]:
 
 def compact_faces(P: NewtonPolyhedron) -> list[frozenset[ExpVec]]:
     """Support sets of all compact faces of the Newton polyhedron, by size then points."""
-    return _compact_faces(sorted(P.support), P.nvars)
-
-
-def _compact_faces(support: list[ExpVec], n: int) -> list[frozenset[ExpVec]]:
-    """A face holds exactly the generators that every facet through it holds."""
-    facets = [(points, rays) for _, points, rays in _facets(support, n).values()]
-    faces = set(facets)
-    todo = list(facets)
-    while todo:
-        points, rays = todo.pop()
-        for fp, fr in facets:
-            face = (points & fp, rays & fr)
-            if face[0] and face not in faces:
-                faces.add(face)
-                todo.append(face)
-    return sorted((points for points, rays in faces if not rays),
-                  key=lambda s: (len(s), sorted(s)))
+    return list(P.faces)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +346,7 @@ def _volume6_under_diagram(P: NewtonPolyhedron) -> int:
     Each compact facet is fanned from its least point v0 over its edges that
     miss v0, and each triangle (v0, a, b) from the origin: |det(v0, a, b)|.
     """
-    edges = [E for E in _compact_faces(sorted(P.support), 3) if len(E) > 1]
+    edges = [E for E in P.faces if len(E) > 1]
     total = 0
     for F in P.facets:
         v0 = min(F.vertices)

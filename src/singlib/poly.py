@@ -361,7 +361,7 @@ def weighted_homogeneity(f: SparsePoly) -> Weights | None:
 
     Returns the weight tuple, or None when no strictly positive solution
     exists.  Underdetermined systems are completed deterministically: the
-    affine solution space is parametrized by the RREF free variables and a
+    affine solution space is parametrized by the free (non-pivot) columns and a
     canonical interior point of the positivity region is picked by exact
     Fourier-Motzkin back-substitution.
     """

@@ -16,3 +16,19 @@ def g():
 @pytest.fixture(scope="session")
 def basis_h(h):
     return milnor_basis(h)
+
+
+@pytest.fixture(params=[
+    # numbers where exact strings belong, and floats or bools where ints belong
+    '{"dim": 1, "N": [0], "G": [{"level": 0, "spanning_vectors": [["1"]]}]}',
+    '{"dim": 1e400, "N": ["0"], "G": [{"level": 0, "spanning_vectors": [["1"]]}]}',
+    '{"dim": 1, "N": ["0"], "G": [{"level": 0.7, "spanning_vectors": [["1"]]}]}',
+    '{"dim": 1, "N": ["0"], "G": [{"level": 1.9, "spanning_vectors": [["1"]]}]}',
+    '{"dim": true, "N": ["0"], "G": [{"level": 0, "spanning_vectors": [["1"]]}]}',
+    '{"dim": 1, "N": ["0"], "G": [{"level": false, "spanning_vectors": [["1"]]}]}',
+    '{"dim": 1, "N": ["0"], "G": [{"level": 0, "spanning_vectors": [[1]]}]}',
+    '{"dim": 1, "N": "0", "G": [{"level": 0, "spanning_vectors": [["1"]]}]}',
+])
+def malformed_fnm(request):
+    """FNM JSON with a wrong JSON type in one field; the module is valid otherwise."""
+    return request.param

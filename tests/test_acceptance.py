@@ -271,7 +271,8 @@ def test_criterion_10f_matching_vs_permutations(n, data):
         assert sum(int(alphas[k] - betas[l]) for k, l in enumerate(sigma)) == best
 
 
-_entries = st.integers(-2, 2)
+# non-integer rationals too, so N and the spans are scaled to ints by an lcm
+_entries = st.builds(F, st.integers(-2, 2), st.integers(1, 3))
 
 
 @st.composite
@@ -302,7 +303,7 @@ def _random_fnm(draw, max_dim=6):
 
 
 def _dense_rank(rows):
-    m = [list(r) for r in rows if any(x != 0 for x in r)]
+    m = [[F(x) for x in r] for r in rows if any(x != 0 for x in r)]
     rank = 0
     for c in range(len(m[0]) if m else 0):
         piv = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)

@@ -131,6 +131,13 @@ def test_example_module_report():
     assert rep.m_tilde == 2
     assert rep.jordan_ambient == (2,) and rep.jordan_graded == (1, 1)
     assert rep.jordan_mismatch
+    # listed levels 0 and 3: G_1 = G_2 = G_0, G_j = 0 below 0, G_j = M from 3 on
+    gap = FilteredNilpotentModule(2, ((0, 0), (F(1, 2), 0)),
+                                  ((0, ((0, F(2, 3)),)), (3, ((1, 0), (0, 1)))))
+    assert gap.level_basis(-1) == []
+    assert len(gap.level_basis(0)) == 1 and gap.level_basis(2) == gap.level_basis(0)
+    assert _dense_rank(gap.level_basis(1) + [(0, 1)]) == 1
+    assert gap.full_basis() == gap.level_basis(7) and len(gap.level_basis(3)) == 2
 
 
 def test_example_module_verdicts():
@@ -183,10 +190,18 @@ def test_fnm_json_roundtrip():
         fnm_from_json('{"dim": 1, "N": ["0", "0"], "G": []}')
 
 
+def test_fnm_json_rejects_wrong_types(malformed_fnm):
+    with pytest.raises(InvalidFNMError, match="malformed"):
+        fnm_from_json(malformed_fnm)
+    # the same module with the right types is valid
+    fnm_from_json('{"dim": 1, "N": ["0"], "G": [{"level": 0, "spanning_vectors": [["1"]]}]}')
+
+
 # ---------------------------------------------------------------------------
 # randomized structure properties
 
-_entries = st.integers(-2, 2)
+# non-integer rationals too, so N and the spans are scaled to ints by an lcm
+_entries = st.builds(F, st.integers(-2, 2), st.integers(1, 3))
 
 
 @st.composite
@@ -220,7 +235,7 @@ def random_fnm(draw, max_dim=5):
 
 
 def _dense_rank(rows):
-    m = [list(r) for r in rows if any(x != 0 for x in r)]
+    m = [[F(x) for x in r] for r in rows if any(x != 0 for x in r)]
     rank = 0
     cols = len(m[0]) if m else 0
     for c in range(cols):

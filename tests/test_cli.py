@@ -177,6 +177,13 @@ def test_fnm_check(capsys, tmp_path):
     assert code == 2 and "malformed" in err
 
 
+def test_fnm_check_wrong_json_types_exit_2(capsys, tmp_path, malformed_fnm):
+    path = tmp_path / "module.json"
+    path.write_text(malformed_fnm)
+    code, out, err = run(capsys, "fnm", "check", str(path))
+    assert code == 2 and out == "" and "malformed" in err
+
+
 def test_family_commands(capsys, tmp_path):
     code, out, _ = run(capsys, "family", "make", "7", "3", "5")
     assert code == 0
