@@ -179,7 +179,6 @@ def _cmd_milnor(args) -> int:
 
 def _cmd_newton(args) -> int:
     f = parse_poly(args.poly, _split_vars(args.vars))
-    P = newton.newton_polyhedron(f)
     obj: dict = {}
     if args.number:
         obj["newton_number"] = newton.newton_number(f)
@@ -191,8 +190,9 @@ def _cmd_newton(args) -> int:
             obj["degenerate_face"] = [list(a) for a in fl.degenerate_face]
     elif args.phi:
         obj["point"] = args.phi
-        obj["phi"] = rat_to_str(newton.phi_value(P, args.phi))
+        obj["phi"] = rat_to_str(newton.phi_value(newton.newton_polyhedron(f), args.phi))
     else:
+        P = newton.newton_polyhedron(f)
         obj["facets"] = [
             {
                 "functional": [rat_to_str(c) for c in F.functional],

@@ -28,6 +28,12 @@ A level that fails extrapolates H linearly to zero to choose the next one
 ... (clamped at the cap) that is >= s, computed from s rather than built,
 so it does not depend on which levels were built.
 
+Work bound: a level-D build lists all C(D+n, n) monomials of degree <= D in
+n variables before it reduces anything.  Past ``_MAX_JET_MONOMIALS`` (one
+million) ``milnor_basis`` raises ``PreconditionError`` before it allocates
+them, naming the level and the count.  The largest build of the b <= 16
+family sweep lists 154,846 monomials.
+
 Rows are sparse integer dictionaries keyed by monomials, reduced by the
 fraction-free kernel ``linalg.Echelon`` under the int rank of each monomial
 in the local order; rational arithmetic appears only when reducing a query
@@ -37,6 +43,7 @@ polynomial to its normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 from operator import add, itemgetter
 
 from .errors import ConsistencyCheckError, PreconditionError
@@ -59,6 +66,9 @@ def negdeglex_key(m: ExpVec):
 
 _ORDERS = {"negdegrevlex": negdegrevlex_key, "negdeglex": negdeglex_key}
 
+
+# the most monomials one jet build may list
+_MAX_JET_MONOMIALS = 1_000_000
 
 # the first truncation level is the germ's degree d + 2; the reported level is
 # on the schedule d + 2 + k * JET_STEP, and a jump goes at least JET_STEP further
@@ -162,6 +172,12 @@ def milnor_basis(f: SparsePoly, config: JetConfig | None = None) -> JetBasisResu
     rank: dict = {}
     level = min(d + 2, cap)
     while True:
+        count = comb(level + n, n)
+        if count > _MAX_JET_MONOMIALS:
+            raise PreconditionError(
+                f"jet level {level} would list {count} monomials, "
+                f"over the bound of {_MAX_JET_MONOMIALS}"
+            )
         _extend_ranks(by_degree, rank, n, level, key)
         red = _build_level(gens, by_degree, rank, level)
         # holes[k]: how many staircase monomials have degree k, the same at every level >= k

@@ -22,9 +22,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import ArityMismatchError, ConsistencyCheckError, PolyParseError
-from .linalg import feasible_point, solve_linear
+from .linalg import solve_linear
 
 ExpVec = tuple[int, ...]
 
@@ -360,15 +361,22 @@ def weighted_homogeneity(f: SparsePoly) -> Weights | None:
     """Positive rational weights w with <a, w> = 1 on the whole support.
 
     Returns the weight tuple, or None when no strictly positive solution
-    exists.  Underdetermined systems are completed deterministically: the
-    affine solution space is parametrized by the free (non-pivot) columns and a
-    canonical interior point of the positivity region is picked by exact
-    Fourier-Motzkin back-substitution.
+    exists.  A determined system A w = 1 (A: the support rows) has one
+    candidate, its unique solution.  An underdetermined one is decided by a
+    finite argument.  The rows are >= 0, so A w = 1 splits into blocks: two
+    variables share a block when some monomial uses both, directly or
+    through a chain of such monomials.  In a block, {w >= 0 : A w = 1} is
+    bounded (a row bounds each variable it uses), so it is the convex hull
+    of its vertices, and a vertex is the unique solution on a set of
+    rank(A_block) columns, zero elsewhere, when that solution is >= 0.  A
+    positive w exists iff the barycentre of each block's vertices is
+    positive, and that barycentre is returned.  A variable no monomial uses
+    is a free ray and gets weight 1.
     """
     if f.is_zero():
         raise ValueError("weighted_homogeneity of the zero polynomial")
-    n = f.nvars
-    rows = [[Fraction(e) for e in exp] for exp in sorted(f.terms)]
+    support = sorted(f.terms)
+    rows = [[Fraction(e) for e in exp] for exp in support]
     sol = solve_linear(rows, [Fraction(1)] * len(rows))
     if sol is None:
         return None
@@ -377,19 +385,31 @@ def weighted_homogeneity(f: SparsePoly) -> Weights | None:
         if all(x > 0 for x in particular):
             return tuple(particular)
         return None
-    # w = particular + t . null must be > 0 componentwise
-    constraints = []
-    for i in range(n):
-        coeffs = [b[i] for b in null]
-        constraints.append((coeffs, -particular[i], True))
-    t = feasible_point(constraints, len(null))
-    if t is None:
-        return None
-    w = list(particular)
-    for coef, b in zip(t, null):
-        w = [wi + coef * bi for wi, bi in zip(w, b)]
+    blocks: list[tuple[set[int], list[ExpVec]]] = []  # (variables, monomials using them)
+    for a in support:
+        used, brows = {i for i, e in enumerate(a) if e}, [a]
+        for b in [b for b in blocks if b[0] & used]:
+            blocks.remove(b)
+            used |= b[0]
+            brows += b[1]
+        blocks.append((used, brows))
+    w = [Fraction(1)] * f.nvars
+    for used, brows in blocks:
+        # each kernel vector lies on one block, as every pivot row does
+        rank = len(used) - sum(any(v[j] for j in used) for v in null)
+        vertices = set()
+        for cols in combinations(sorted(used), rank):
+            s = solve_linear([[a[j] for j in cols] for a in brows], [1] * len(brows))
+            if s is not None and not s[1] and all(x >= 0 for x in s[0]):
+                vertices.add(frozenset((j, x) for j, x in zip(cols, s[0]) if x))
+        if not vertices:
+            return None
+        for j in used:
+            w[j] = Fraction(sum(x for v in vertices for k, x in v if k == j), len(vertices))
     if any(x <= 0 for x in w):
-        raise ConsistencyCheckError("weight witness is not positive")
+        return None
+    if any(weighted_degree(a, w) != 1 for a in support):
+        raise ConsistencyCheckError("weights miss degree 1 on the support")
     return tuple(w)
 
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from singlib import ConsistencyCheckError, family
+from singlib import ConsistencyCheckError, family, milnor
 from singlib.certificates import fnm_to_json
 from singlib.cli import main
 
@@ -61,6 +61,17 @@ def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "milnor", "x^", "--vars", "x")
     assert code == 2
     assert "error" in err
+
+
+def test_milnor_over_the_monomial_bound_exit_2(capsys, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("jet build started")
+
+    monkeypatch.setattr(milnor, "_extend_ranks", no_build)
+    for text, names in [("x^99999999999", "x"), ("x^700+y^700+z^700", "x,y,z")]:
+        code, out, err = run(capsys, "milnor", text, "--vars", names)
+        assert code == 2 and out == ""
+        assert "monomials, over the bound of 1000000" in err
 
 
 def test_newton_subcommands(capsys):

@@ -5,10 +5,8 @@ from hypothesis import strategies as st
 
 from singlib.linalg import (
     echelon_basis,
-    feasible_point,
     hermite_basis,
     lattice_coords,
-    nullspace,
     rank,
     solve_linear,
 )
@@ -17,7 +15,7 @@ from singlib.linalg import (
 def test_rref_rank_and_nullspace():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     assert rank(rows) == 2
-    ns = nullspace(rows)
+    _, ns = solve_linear(rows, [0] * len(rows))
     assert len(ns) == 1
     v = ns[0]
     for row in rows:
@@ -76,7 +74,7 @@ def test_kernel_against_gaussian_elimination(system):
     r = rank(rows)
     assert r == _gauss_rank(rows)
     assert len(echelon_basis(rows)) == r
-    null = nullspace(rows)
+    _, null = solve_linear(rows, [0] * len(rows))
     assert len(null) == ncols - r
     assert _gauss_rank(null) == len(null)
     for v in null:
@@ -95,24 +93,6 @@ def test_kernel_against_gaussian_elimination(system):
         for j in range(ncols):
             if _gauss_rank(cols[: j + 1]) == _gauss_rank(cols[:j]):
                 assert x[j] == 0
-
-
-def test_feasible_point_strict():
-    # x > 0, y > 0, x + y <= 1  (as -x - y >= -1)
-    w = feasible_point(
-        [((1, 0), 0, True), ((0, 1), 0, True), ((-1, -1), -1, False)], 2
-    )
-    assert w is not None and w[0] > 0 and w[1] > 0 and w[0] + w[1] <= 1
-    # x > 0 and x < 0 infeasible
-    assert feasible_point([((1,), 0, True), ((-1,), 0, True)], 1) is None
-
-
-def test_feasible_point_equality_pair():
-    # x = y, x > 1
-    w = feasible_point(
-        [((1, -1), 0, False), ((-1, 1), 0, False), ((1, 0), 1, True)], 2
-    )
-    assert w is not None and w[0] == w[1] and w[0] > 1
 
 
 def test_hermite_basis_and_coords():

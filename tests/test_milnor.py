@@ -16,6 +16,7 @@ from singlib import (
     spectrum_wh,
     weighted_homogeneity,
 )
+from singlib import milnor
 from singlib.linalg import Echelon, int_row
 from singlib.milnor import (
     FINITE,
@@ -70,6 +71,22 @@ def test_non_isolated_reported_not_looped():
     r = milnor_basis(parse_poly("x^2*y^2", ["x", "y"]), JetConfig(degree_cap=14))
     assert r.status == NON_ISOLATED
     assert r.milnor_number is None
+
+
+def test_jet_build_over_the_monomial_bound_raises(monkeypatch):
+    # mu is 99999999998 and 699^3; the error comes before any monomial is listed
+    def no_build(*args):
+        raise AssertionError("jet build started")
+
+    monkeypatch.setattr(milnor, "_extend_ranks", no_build)
+    for text, names, level, count in [
+        ("x^99999999999", ["x"], 100000000001, 100000000002),
+        ("x^700+y^700+z^700", ["x", "y", "z"], 702, 58152160),
+    ]:
+        with pytest.raises(PreconditionError) as e:
+            milnor_basis(parse_poly(text, names))
+        assert f"jet level {level} would list {count} monomials" in str(e.value)
+        assert "bound of 1000000" in str(e.value)
 
 
 def test_preconditions():

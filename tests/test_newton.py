@@ -18,8 +18,10 @@ from singlib import (
     parse_poly,
     phi_value,
 )
-from singlib.linalg import feasible_point, rank, solve_linear
+from singlib.linalg import rank, solve_linear
 from singlib.newton import _face_nondegenerate
+
+from fourier_motzkin import feasible_point
 
 
 def test_facets_of_g(g):

@@ -11,9 +11,14 @@ from singlib import (
     parse_poly,
     partials,
     serialize,
+    spectrum_wh,
+    thom_sebastiani,
     weighted_degree,
     weighted_homogeneity,
 )
+from singlib import poly
+
+from fourier_motzkin import feasible_point
 
 
 def test_parse_h(h):
@@ -87,6 +92,67 @@ def test_weighted_homogeneity_underdetermined_is_positive_and_valid():
     q = parse_poly("x^2", ["x", "y"])
     w2 = weighted_homogeneity(q)
     assert w2 is not None and w2[0] == F(1, 2) and w2[1] > 0
+
+
+def test_weighted_homogeneity_underdetermined_spectra_split():
+    # any valid weights give the spectrum of the parts in disjoint variables
+    for names, text, parts in [
+        ("x,y,z", "x*y+z^3", [("x*y", "x,y", (F(1, 2),) * 2), ("z^3", "z", (F(1, 3),))]),
+        ("x,y,z,w", "x^3+y*z+w^2", [("x^3", "x", (F(1, 3),)),
+                                    ("y*z", "y,z", (F(1, 2),) * 2),
+                                    ("w^2", "w", (F(1, 2),))]),
+        ("x,y,z,w", "x*y+z^4+w^3", [("x*y", "x,y", (F(1, 2),) * 2),
+                                    ("z^4", "z", (F(1, 4),)),
+                                    ("w^3", "w", (F(1, 3),))]),
+    ]:
+        f = parse_poly(text, names.split(","))
+        spectra = [spectrum_wh(parse_poly(t, v.split(",")), w) for t, v, w in parts]
+        expected = spectra[0]
+        for sp in spectra[1:]:
+            expected = thom_sebastiani(expected, sp)
+        assert spectrum_wh(f, weighted_homogeneity(f)) == expected, text
+
+
+def test_weighted_homogeneity_solves_per_block(monkeypatch):
+    # 15 Morse pairs x_i*y_i: one solve of the whole system, then two
+    # one-column solves per pair; enumerating column sets of the whole
+    # support instead would take C(30, 15) solves, so stop at the first extra
+    calls, solve = [], poly.solve_linear
+
+    def counted(rows, rhs):
+        calls.append(len(rows))
+        assert len(calls) <= 1 + 2 * 15, "more solves than one per vertex candidate"
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(poly, "solve_linear", counted)
+    f = SparsePoly(30, {tuple(int(j // 2 == i) for j in range(30)): 1 for i in range(15)})
+    assert weighted_homogeneity(f) == (F(1, 2),) * 30
+
+
+def _positive_weights_exist(support, n) -> bool:
+    """The oracle: Fourier-Motzkin on w > 0 and <a, w> = 1 for every a."""
+    rows = [(tuple(int(i == j) for j in range(n)), 0, True) for i in range(n)]
+    for a in support:
+        rows += [(a, 1, False), (tuple(-x for x in a), -1, False)]
+    return feasible_point(rows, n) is not None
+
+
+@st.composite
+def _supports(draw):
+    n = draw(st.integers(1, 4))
+    point = st.tuples(*[st.sampled_from((0, 0, 1, 2, 3))] * n).filter(any)
+    return n, sorted(set(draw(st.lists(point, min_size=1, max_size=4))))
+
+
+@given(_supports())
+@settings(max_examples=100, deadline=None)
+def test_weighted_homogeneity_matches_lp_oracle(case):
+    n, support = case
+    w = weighted_homogeneity(SparsePoly(n, {a: 1 for a in support}))
+    assert (w is not None) == _positive_weights_exist(support, n), support
+    if w is not None:
+        assert all(x > 0 for x in w)
+        assert all(weighted_degree(a, w) == 1 for a in support)
 
 
 # ---------------------------------------------------------------------------
