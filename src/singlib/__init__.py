@@ -10,7 +10,6 @@ the same functionality with JSON output.
 from .brieskorn import (
     EulerRelation,
     ExclusionReport,
-    LatticeClass,
     component_exclusion,
     euler_relation,
     monoid_membership,
@@ -56,7 +55,6 @@ from .family import (
 )
 from .milnor import (
     JetBasisResult,
-    JetConfig,
     is_monomial_basis,
     milnor_basis,
     normal_form,

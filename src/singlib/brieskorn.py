@@ -29,23 +29,11 @@ from .poly import ExpVec, SparsePoly, weighted_degree
 
 
 @dataclass(frozen=True)
-class LatticeClass:
-    """The class [p * omega_0] in the Brieskorn lattice of the ambient germ."""
-
-    coefficient_poly: SparsePoly
-
-    @property
-    def nvars(self) -> int:
-        return self.coefficient_poly.nvars
-
-
-@dataclass(frozen=True)
 class EulerRelation:
     """(c * dt^{-1} - t) [x^a omega_0] = [remainder * omega_0]."""
 
     c: Fraction
     remainder: SparsePoly
-    monomial_class: LatticeClass
 
 
 def _contraction_identity_holds(f: SparsePoly, a: ExpVec, w) -> bool:
@@ -82,7 +70,7 @@ def euler_relation(f: SparsePoly, a, w) -> EulerRelation:
     c = weighted_degree(tuple(ai + o for ai, o in zip(a, one)), w)
     xa = SparsePoly.monomial(f.nvars, a)
     remainder = (f.weighted_derivative(w) - f) * xa
-    return EulerRelation(c, remainder, LatticeClass(xa))
+    return EulerRelation(c, remainder)
 
 
 def taylor_term_value(P: NewtonPolyhedron, deformation_monomial, r: int) -> Fraction:

@@ -165,8 +165,7 @@ def _render_verify(obj: dict) -> str:
 
 def _cmd_milnor(args) -> int:
     f = parse_poly(args.poly, _split_vars(args.vars))
-    cfg = milnor.JetConfig(degree_cap=args.jet_cap) if args.jet_cap is not None else None
-    res = milnor.milnor_basis(f, cfg)
+    res = milnor.milnor_basis(f, args.jet_cap)
     obj = {
         "status": res.status,
         "milnor_number": res.milnor_number,
@@ -315,7 +314,7 @@ def _cmd_family_sweep(args) -> int:
 
 def _cmd_family_certify(args) -> int:
     p = family.make_family(args.a, args.b, args.c)
-    cert = family.negative_answer_pipeline(p, jet_cap=args.jet_cap)
+    cert = family.negative_answer_pipeline(p)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(family.certificate_json(cert))
@@ -350,17 +349,16 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--pretty", action="store_true",
                         help="render a human-readable view instead of JSON")
-    jets = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    jets.add_argument("--jet-cap", type=_positive_int, default=None,
-                      help="degree cap for jet truncation")
 
     ap = argparse.ArgumentParser(prog="sing", description=__doc__, allow_abbrev=False,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("milnor", parents=[common, jets], help="Milnor number and staircase")
+    p = sub.add_parser("milnor", parents=[common], help="Milnor number and staircase")
     p.add_argument("poly")
     p.add_argument("--vars", required=True, help="comma-separated variable names")
+    p.add_argument("--jet-cap", type=_positive_int, default=None,
+                   help="work budget: the highest jet level to build")
     p.set_defaults(fn=_cmd_milnor)
 
     p = sub.add_parser("newton", parents=[common], help="Newton polyhedron data")
@@ -406,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--certify", action="store_true",
                     help="certify every instance; exit 1 if any is inconclusive")
     ps.set_defaults(fn=_cmd_family_sweep)
-    pc = fam_sub.add_parser("certify", parents=[common, jets], allow_abbrev=False)
+    pc = fam_sub.add_parser("certify", parents=[common], allow_abbrev=False)
     pc.add_argument("a", type=int)
     pc.add_argument("b", type=int)
     pc.add_argument("c", type=int)

@@ -190,7 +190,7 @@ def _require(step: str, condition: bool, reason: str):
         raise _StepFailed(step, reason)
 
 
-def negative_answer_pipeline(params: FamilyParams, jet_cap: int | None = None) -> dict:
+def negative_answer_pipeline(params: FamilyParams) -> dict:
     """Run the full certificate for one family instance.
 
     Returns the certificate as a JSON-serializable dict.  Verdict fields are
@@ -203,7 +203,6 @@ def negative_answer_pipeline(params: FamilyParams, jet_cap: int | None = None) -
     def record(step_id: str, name: str, data: dict):
         steps.append({"id": step_id, "name": name, "passed": True, "data": data})
 
-    config = milnor.JetConfig(degree_cap=jet_cap) if jet_cap is not None else None
     h, g = params.h, params.g
     beta0 = params.beta0
     try:
@@ -221,7 +220,7 @@ def negative_answer_pipeline(params: FamilyParams, jet_cap: int | None = None) -
         })
 
         # (ii) Milnor number of h by jets equals the Newton number
-        basis_h = milnor.milnor_basis(h, config)
+        basis_h = milnor.milnor_basis(h)
         _require("ii", basis_h.finite, f"jet computation: {basis_h.status}")
         nu_h = newton.newton_number(h)
         _require("ii", basis_h.milnor_number == nu_h,

@@ -1,19 +1,27 @@
 """The Milnor algebra O/(df) as a finite-dimensional Q-vector space.
 
-Everything is exact linear algebra on truncated jets.  Fix a local monomial
-order (anti-graded: lower total degree means larger monomial).  For a
-truncation level D, the span of all truncated monomial multiples of the
-partial derivatives equals the degree-<=D slice of (df) + m^(D+1); row
-reduction of that span yields a pivot set whose complement is the candidate
-staircase.
+Everything is exact linear algebra on truncated jets, under the local
+monomial order negdegrevlex (anti-graded: lower total degree means larger
+monomial).  For a truncation level D, the span of all truncated monomial
+multiples of the partial derivatives equals the degree-<=D slice of
+(df) + m^(D+1); row reduction of that span yields a pivot set whose
+complement is the candidate staircase.
 
 Termination certificate: if every monomial of one total degree s <= D is a
 pivot, then m^s lies in (df) + m^(s+1), hence in (df) + m^N for every N by
 multiplying through, hence in (df) by the Krull intersection theorem.  Then
 (df) + m^(D+1) = (df) and the level-D quotient is exactly O/(df): the
 staircase is the true monomial basis and its size is the Milnor number.
-If no level up to the degree cap certifies, the computation reports
-NON_ISOLATED instead of looping.
+
+Stop rule: every degree below s holds a staircase monomial, so s <= mu, and
+for an isolated zero of df, mu <= B = prod_i deg(df/dx_i) by Bezout's bound
+for an isolated component (Fulton, *Intersection Theory*, 12.3).  So every
+level >= B certifies an isolated germ, and NON_ISOLATED, reported only from
+a level >= B, is a proof.  B is 0 when a partial is zero: f then does not
+depend on that variable.  Levels are capped at 4d (d the degree of f) or at
+the caller's ``jet_cap``.  At a cap below B the default cap moves up to B,
+while a caller's cap raises ``PreconditionError`` (exit 2 in the CLI)
+naming the cap and B: it spent the budget without deciding anything.
 
 Level independence: the level-D span is the degree-<=D truncation of the
 polynomial ideal (df), and truncation keeps the lowest-degree part that a
@@ -43,7 +51,7 @@ polynomial to its normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, prod
 from operator import add, itemgetter
 
 from .errors import ConsistencyCheckError, PreconditionError
@@ -60,13 +68,6 @@ def negdegrevlex_key(m: ExpVec):
     return (sum(m), tuple(reversed(m)))
 
 
-def negdeglex_key(m: ExpVec):
-    return (sum(m), tuple(-e for e in m))
-
-
-_ORDERS = {"negdegrevlex": negdegrevlex_key, "negdeglex": negdeglex_key}
-
-
 # the most monomials one jet build may list
 _MAX_JET_MONOMIALS = 1_000_000
 
@@ -76,24 +77,12 @@ JET_STEP = 4
 
 
 @dataclass
-class JetConfig:
-    """Truncation schedule for the jet computation."""
-
-    degree_cap: int | None = None  # default: 4 * max support degree
-    local_order: str = "negdegrevlex"
-
-    def __post_init__(self):
-        if self.degree_cap is not None and self.degree_cap < 1:
-            raise PreconditionError(f"jet degree cap must be at least 1, got {self.degree_cap}")
-
-
-@dataclass
 class JetBasisResult:
     status: str
     milnor_number: int | None
     staircase: frozenset[ExpVec]
     # FINITE: the first level of the d+2, d+2+JET_STEP, ... schedule (clamped
-    # at the cap) that is >= the certified degree; NON_ISOLATED: the cap
+    # at the cap) that is >= the certified degree; NON_ISOLATED: the cap, >= B
     truncation_degree: int
     _echelon: Echelon | None = field(default=None, repr=False, compare=False)
     # every monomial of this degree lies in (df)
@@ -112,7 +101,7 @@ def _monomials_of_degree(n: int, deg: int) -> list[ExpVec]:
             for rest in _monomials_of_degree(n - 1, deg - i)]
 
 
-def _extend_ranks(by_degree: list, rank: dict, n: int, level: int, key) -> None:
+def _extend_ranks(by_degree: list, rank: dict, n: int, level: int) -> None:
     """Append the monomials of each degree up to ``level`` not yet listed.
 
     ``by_degree[k]`` holds the degree-k monomials sorted in the local order,
@@ -120,7 +109,7 @@ def _extend_ranks(by_degree: list, rank: dict, n: int, level: int, key) -> None:
     comparison of ranks is a comparison of monomials.
     """
     for k in range(len(by_degree), level + 1):
-        mons = sorted(_monomials_of_degree(n, k), key=key)
+        mons = sorted(_monomials_of_degree(n, k), key=negdegrevlex_key)
         by_degree.append(mons)
         rank.update(zip(mons, range(len(rank), len(rank) + len(mons))))
 
@@ -144,13 +133,13 @@ def _build_level(gens: list[dict[ExpVec, int]], by_degree: list, rank: dict,
     return red
 
 
-def milnor_basis(f: SparsePoly, config: JetConfig | None = None) -> JetBasisResult:
+def milnor_basis(f: SparsePoly, jet_cap: int | None = None) -> JetBasisResult:
     """Milnor number and staircase monomial basis of O/(df).
 
     The result status is FINITE, SMOOTH_POINT (some partial derivative is a
-    unit) or NON_ISOLATED (no truncation level up to the cap certified a
-    finite quotient).  Batch callers branch on the status; nothing here
-    raises once the germ preconditions hold.
+    unit) or NON_ISOLATED (a level >= the Bezout bound B did not certify).
+    ``jet_cap`` is a work budget.  A cap below B that certifies nothing, or
+    a level over the monomial bound, raises ``PreconditionError``.
     """
     if f.is_zero():
         raise PreconditionError("milnor_basis of the zero polynomial")
@@ -158,16 +147,16 @@ def milnor_basis(f: SparsePoly, config: JetConfig | None = None) -> JetBasisResu
         raise PreconditionError("milnor_basis needs at least one variable")
     if f.constant_term() != 0:
         raise PreconditionError("germ must vanish at the origin")
-    config = config or JetConfig()
-    key = _ORDERS[config.local_order]
+    if jet_cap is not None and jet_cap < 1:
+        raise PreconditionError(f"jet degree cap must be at least 1, got {jet_cap}")
     n = f.nvars
     dfs = partials(f)
     if any(g.constant_term() != 0 for g in dfs):
         return JetBasisResult(SMOOTH_POINT, 0, frozenset(), 0)
     gens = [int_row(g.terms) for g in dfs]
     d = f.total_degree()
-    cap = config.degree_cap if config.degree_cap is not None else 4 * d
-    cap = max(cap, 2)
+    bound = prod(max(g.total_degree(), 0) for g in dfs)  # B; mu <= B if isolated
+    cap = max(4 * d if jet_cap is None else jet_cap, 2)
     by_degree: list = []
     rank: dict = {}
     level = min(d + 2, cap)
@@ -178,7 +167,7 @@ def milnor_basis(f: SparsePoly, config: JetConfig | None = None) -> JetBasisResu
                 f"jet level {level} would list {count} monomials, "
                 f"over the bound of {_MAX_JET_MONOMIALS}"
             )
-        _extend_ranks(by_degree, rank, n, level, key)
+        _extend_ranks(by_degree, rank, n, level)
         red = _build_level(gens, by_degree, rank, level)
         # holes[k]: how many staircase monomials have degree k, the same at every level >= k
         holes = [sum(m not in red.pivots for m in mons) for mons in by_degree]
@@ -191,7 +180,13 @@ def milnor_basis(f: SparsePoly, config: JetConfig | None = None) -> JetBasisResu
             reported = min(d + 2 + JET_STEP * steps, cap)
             return JetBasisResult(FINITE, len(staircase), staircase, reported, red, s)
         if level >= cap:
-            return JetBasisResult(NON_ISOLATED, None, frozenset(), level)
+            if cap >= bound:
+                return JetBasisResult(NON_ISOLATED, None, frozenset(), level)
+            if jet_cap is not None:
+                raise PreconditionError(
+                    f"jet cap {jet_cap} stops at level {level} without a certificate; an "
+                    f"isolated germ certifies by level {bound}, its Bezout bound")
+            cap = bound
         # extrapolate the shrinking staircase to the degree where it runs out
         step, drop = JET_STEP, holes[level - 1] - holes[level]
         if drop > 0:
@@ -199,10 +194,7 @@ def milnor_basis(f: SparsePoly, config: JetConfig | None = None) -> JetBasisResu
         level = min(level + step, cap)
 
 
-def normal_form(
-    p: SparsePoly, f: SparsePoly, basis: JetBasisResult | None = None,
-    config: JetConfig | None = None,
-) -> SparsePoly:
+def normal_form(p: SparsePoly, f: SparsePoly, basis: JetBasisResult | None = None) -> SparsePoly:
     """Unique representative of p mod (df) supported on the staircase.
 
     Monomials of degree >= the certified ideal degree lie in (df) and map to
@@ -210,7 +202,7 @@ def normal_form(
     ``basis`` avoids re-running the jet reduction.
     """
     if basis is None:
-        basis = milnor_basis(f, config)
+        basis = milnor_basis(f)
     if not basis.finite:
         raise PreconditionError(f"normal_form requires a finite Milnor algebra ({basis.status})")
     red, s = basis._echelon, basis._ideal_degree
@@ -222,13 +214,10 @@ def normal_form(
     return SparsePoly(p.nvars, nf)
 
 
-def is_monomial_basis(
-    f: SparsePoly, mons, basis: JetBasisResult | None = None,
-    config: JetConfig | None = None,
-) -> bool:
+def is_monomial_basis(f: SparsePoly, mons, basis: JetBasisResult | None = None) -> bool:
     """True iff ``mons`` induces a vector-space basis of O/(df)."""
     if basis is None:
-        basis = milnor_basis(f, config)
+        basis = milnor_basis(f)
     if not basis.finite:
         raise PreconditionError("is_monomial_basis requires a finite Milnor algebra")
     mons = [tuple(m) for m in mons]

@@ -126,14 +126,6 @@ class SparsePoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "SparsePoly":
-        if k < 0:
-            raise ValueError("negative power")
-        out = SparsePoly.constant(self.nvars, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SparsePoly)

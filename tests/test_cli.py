@@ -36,6 +36,13 @@ def test_milnor_non_isolated_exit_code(capsys):
     assert json.loads(out)["status"] == "NON_ISOLATED"
 
 
+def test_milnor_cap_below_the_bezout_bound_exit_code(capsys):
+    # mu(x^20) = 19: a cap of 5 is a spent budget, not a proof of NON_ISOLATED
+    code, out, err = run(capsys, "milnor", "x^20", "--vars", "x", "--jet-cap", "5")
+    assert code == 2 and out == ""
+    assert "jet cap 5 " in err and "by level 19," in err
+
+
 def test_failed_consistency_check_exit_code(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise ConsistencyCheckError("spectrum sum rule violated")
@@ -134,18 +141,20 @@ def test_spectrum_methods(capsys):
     code, _, err = run(capsys, "spectrum", "x^2+y^3", "--vars", "x,y", "--method", "ts")
     assert code == 2
 
-    # --jet-cap belongs to the commands that compute jets under a cap
-    with pytest.raises(SystemExit) as exc:
-        run(capsys, "spectrum", "x^2+y^3", "--vars", "x,y", "--method", "wh", "--jet-cap", "3")
-    assert exc.value.code == 2
+    # --jet-cap is a budget of sing milnor alone
+    for cmd in (("spectrum", "x^2+y^3", "--vars", "x,y", "--method", "wh"),
+                ("family", "certify", "7", "3", "5")):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *cmd, "--jet-cap", "30")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jet-cap" in capsys.readouterr().err
 
     # a jet cap is a positive degree; 0 is not "the default" and -3 is not a cap
-    for cmd in (("milnor", "x^5+y^7", "--vars", "x,y"), ("family", "certify", "7", "3", "5")):
-        for cap in ("0", "-3"):
-            with pytest.raises(SystemExit) as exc:
-                run(capsys, *cmd, "--jet-cap", cap)
-            assert exc.value.code == 2
-            assert "positive integer" in capsys.readouterr().err
+    for cap in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "milnor", "x^5+y^7", "--vars", "x,y", "--jet-cap", cap)
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
 
 
 def test_bfun(capsys):
@@ -223,7 +232,7 @@ def test_family_sweep_certify(capsys, monkeypatch):
     assert obj["status_counts"] == {"CERTIFIED": 1}
     assert obj["failed_step_counts"] == {}
 
-    def inconclusive(params, jet_cap=None):
+    def inconclusive(params):
         return {"status": "INCONCLUSIVE", "failed_step": "i"}
     monkeypatch.setattr(family, "negative_answer_pipeline", inconclusive)
     code, out, _ = run(capsys, "family", "sweep", "--bmax", "3", "--certify")
@@ -235,7 +244,7 @@ def test_family_sweep_certify(capsys, monkeypatch):
 
 
 def test_family_sweep_bmax_is_positive(capsys):
-    # an empty sweep is not a result: --bmax takes the same type as --jet-cap
+    # an empty sweep is not a result: --bmax takes a positive integer
     for argv in (("--bmax", "0"), ("--bmax", "-2", "--certify"), ("--bmax", "x")):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "family", "sweep", *argv)

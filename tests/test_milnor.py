@@ -1,20 +1,18 @@
 from fractions import Fraction as F
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from singlib import (
-    JetConfig,
     PreconditionError,
     SparsePoly,
     is_monomial_basis,
     milnor_basis,
     normal_form,
     parse_poly,
-    spectrum_wh,
-    weighted_homogeneity,
 )
 from singlib import milnor
 from singlib.linalg import Echelon, int_row
@@ -23,7 +21,6 @@ from singlib.milnor import (
     JET_STEP,
     NON_ISOLATED,
     SMOOTH_POINT,
-    negdeglex_key,
     negdegrevlex_key,
 )
 from singlib.poly import partials
@@ -68,9 +65,30 @@ def test_smooth_point_reported():
 
 
 def test_non_isolated_reported_not_looped():
-    r = milnor_basis(parse_poly("x^2*y^2", ["x", "y"]), JetConfig(degree_cap=14))
+    r = milnor_basis(parse_poly("x^2*y^2", ["x", "y"]), 14)
     assert r.status == NON_ISOLATED
     assert r.milnor_number is None
+
+
+def test_non_isolated_only_from_the_bezout_bound():
+    # B = prod deg(df/dx_i); the default cap 4d moves up to B when 4d < B
+    for text, names, bound, level in [
+        ("x^3*y^3", ["x", "y"], 25, 25),  # 4d = 24 < B
+        ("x^3*y^4", ["x", "y"], 36, 36),  # 4d = 28 < B
+        ("x^2*y^2", ["x", "y"], 9, 16),  # 4d = 16 >= B
+        ("x^2+y^2", ["x", "y", "z"], 0, 8),  # a zero partial: B = 0
+    ]:
+        r = milnor_basis(parse_poly(text, names))
+        assert (r.status, r.truncation_degree) == (NON_ISOLATED, level), text
+        assert r.truncation_degree >= bound
+
+
+def test_cap_below_the_bezout_bound_raises():
+    # mu(x^20) = 19 = B, and no level up to 5 certifies: the cap decides nothing
+    with pytest.raises(PreconditionError) as e:
+        milnor_basis(parse_poly("x^20", ["x"]), 5)
+    assert "jet cap 5 " in str(e.value) and "by level 19," in str(e.value)
+    assert milnor_basis(parse_poly("x^20", ["x"]), 19).milnor_number == 19
 
 
 def test_jet_build_over_the_monomial_bound_raises(monkeypatch):
@@ -95,8 +113,8 @@ def test_preconditions():
     with pytest.raises(PreconditionError):
         milnor_basis(parse_poly("7+x^2", ["x"]))
     for cap in (0, -3):
-        with pytest.raises(PreconditionError):
-            JetConfig(degree_cap=cap)
+        with pytest.raises(PreconditionError, match="at least 1"):
+            milnor_basis(parse_poly("x^5+y^7", ["x", "y"]), cap)
 
 
 def test_normal_form_of_partial_is_zero(h, basis_h):
@@ -137,25 +155,21 @@ def test_monomial_basis_counterexamples():
     assert not is_monomial_basis(z5, [(0,), (1,), (2,)])  # wrong cardinality
 
 
-def test_spectrum_independent_of_local_order():
-    # same weighted homogeneous germ, two admissible local orders
-    f = parse_poly("x^3+y^5", ["x", "y"])
-    w = weighted_homogeneity(f)
-    spectra = []
-    for order in ("negdegrevlex", "negdeglex"):
-        b = milnor_basis(f, JetConfig(local_order=order))
-        spectra.append(spectrum_wh(f, w, basis=b).values)
-    assert spectra[0] == spectra[1]
+def fixed_schedule(f, cap):
+    """Reference: build every level d+2, d+2+JET_STEP, ... until one certifies.
 
-
-def fixed_schedule(f, cap, order):
-    """Reference: build every level d+2, d+2+JET_STEP, ... until one certifies."""
-    key = {"negdegrevlex": negdegrevlex_key, "negdeglex": negdeglex_key}[order]
+    A level at the cap that does not certify is a proof of NON_ISOLATED only
+    when the cap is at least the Bezout bound B.  Below B a given cap stops
+    with ("RAISES", B), and the default cap 4d moves up to B.
+    """
     n, d = f.nvars, f.total_degree()
-    gens = [int_row(g.terms) for g in partials(f)]
-    cap = max(4 * d if cap is None else cap, 2)
-    level = min(d + 2, cap)
+    dfs = partials(f)
+    gens = [int_row(g.terms) for g in dfs]
+    bound = 0 if any(g.is_zero() for g in dfs) else prod(g.total_degree() for g in dfs)
+    top = max(4 * d if cap is None else cap, 2)
+    k = 0
     while True:
+        level = min(d + 2 + JET_STEP * k, top)
         mons = [m for m in product(range(level + 1), repeat=n) if sum(m) <= level]
         rows = []
         for g, m in product(gens, mons):
@@ -166,17 +180,22 @@ def fixed_schedule(f, cap, order):
                     row[me] = c
             if row:
                 rows.append(row)
-        rows.sort(key=lambda r: key(min(r, key=key)))
-        red = Echelon(key)
+        rows.sort(key=lambda r: negdegrevlex_key(min(r, key=negdegrevlex_key)))
+        red = Echelon(negdegrevlex_key)
         for row in rows:
             red.insert(row)
         for s in range(level + 1):
             if all(m in red.pivots for m in mons if sum(m) == s):
                 staircase = frozenset(m for m in mons if sum(m) < s and m not in red.pivots)
                 return FINITE, len(staircase), staircase, level, red, s
-        if level >= cap:
+        if level < top:
+            k += 1
+        elif top >= bound:
             return NON_ISOLATED, None, frozenset(), level, None, None
-        level = min(level + JET_STEP, cap)
+        elif cap is not None:
+            return "RAISES", bound
+        else:
+            top = bound
 
 
 @st.composite
@@ -191,21 +210,27 @@ def germs_and_caps(draw):
         terms[tuple(draw(st.integers(2, top)) if k == i else 0 for k in range(n))] = 1
     f = SparsePoly(n, terms)
     cap = draw(st.one_of(st.none(), st.integers(1, 3 * f.total_degree())))
-    order = draw(st.sampled_from(["negdegrevlex", "negdeglex"]))
     queries = draw(st.lists(st.dictionaries(st.tuples(*[st.integers(0, 8)] * n),
                                             st.integers(-3, 3), max_size=4), max_size=3))
-    return f, cap, order, [SparsePoly(n, q) for q in queries]
+    return f, cap, [SparsePoly(n, q) for q in queries]
 
 
 @settings(max_examples=60, deadline=None)
 @given(germs_and_caps())
-@example((parse_poly("x^5+y^7", ["x", "y"]), 9, "negdegrevlex", []))
-@example((parse_poly("x^14+y^14-x^6*y^6", ["x", "y"]), 20, "negdeglex", []))
-@example((parse_poly("x^14+y^14-x^6*y^6", ["x", "y"]), None, "negdegrevlex", []))
+@example((parse_poly("x^5+y^7", ["x", "y"]), 9, []))
+@example((parse_poly("x^14+y^14-x^6*y^6", ["x", "y"]), 20, []))
+@example((parse_poly("x^14+y^14-x^6*y^6", ["x", "y"]), None, []))
+@example((parse_poly("x^3*y^4", ["x", "y"]), None, []))
 def test_jump_matches_fixed_schedule(case):
-    f, cap, order, queries = case
-    basis = milnor_basis(f, JetConfig(degree_cap=cap, local_order=order))
-    status, mu, staircase, level, red, s = fixed_schedule(f, cap, order)
+    f, cap, queries = case
+    expected = fixed_schedule(f, cap)
+    if expected[0] == "RAISES":
+        with pytest.raises(PreconditionError) as e:
+            milnor_basis(f, cap)
+        assert f"jet cap {cap} " in str(e.value) and f"by level {expected[1]}," in str(e.value)
+        return
+    basis = milnor_basis(f, cap)
+    status, mu, staircase, level, red, s = expected
     assert (basis.status, basis.milnor_number, basis.staircase, basis.truncation_degree) == (
         status, mu, staircase, level)
     if status == FINITE:
