@@ -206,9 +206,9 @@ def negative_answer_pipeline(params: FamilyParams) -> dict:
     h, g = params.h, params.g
     beta0 = params.beta0
     try:
-        # (i) Newton boundary flags for both germs
-        fh = newton.newton_flags(h)
-        fg = newton.newton_flags(g)
+        # (i) Newton boundary flags for both germs; steps (ii)-(viii) read these polyhedra
+        P_h, P_g = newton.newton_polyhedron(h), newton.newton_polyhedron(g)
+        fh, fg = newton.newton_flags(P_h), newton.newton_flags(P_g)
         for name, fl in (("h", fh), ("g", fg)):
             face = fl.degenerate_face
             _require("i", fl.convenient and fl.nondegenerate,
@@ -222,7 +222,7 @@ def negative_answer_pipeline(params: FamilyParams) -> dict:
         # (ii) Milnor number of h by jets equals the Newton number
         basis_h = milnor.milnor_basis(h)
         _require("ii", basis_h.finite, f"jet computation: {basis_h.status}")
-        nu_h = newton.newton_number(h)
+        nu_h = newton.newton_number(P_h)
         _require("ii", basis_h.milnor_number == nu_h,
                  f"mu_h = {basis_h.milnor_number} but nu(h) = {nu_h}")
         mu_h = nu_h
@@ -230,7 +230,7 @@ def negative_answer_pipeline(params: FamilyParams) -> dict:
         record("ii", "milnor-vs-newton-number", {"mu_h": mu_h, "jet_level": basis_h.truncation_degree})
 
         # (iii) spectrum of h by the two-variable lattice realization
-        sp_h = spectrum.spectrum_newton_2d(h, flags=fh, basis=basis_h)
+        sp_h = spectrum.spectrum_newton_2d(P_h, flags=fh, basis=basis_h)
         record("iii", "h-spectrum", {
             "count": len(sp_h),
             "min": rat_to_str(spectrum.kth(sp_h, 1)),
@@ -243,7 +243,7 @@ def negative_answer_pipeline(params: FamilyParams) -> dict:
         sp_g = spectrum.thom_sebastiani(sp_h, sp_z)
         mu_g = mu_h * (params.c - 1)
         _require("iv", len(sp_g) == mu_g, f"|Sp(g)| = {len(sp_g)} != {mu_g}")
-        nu_g = newton.newton_number(g)
+        nu_g = newton.newton_number(P_g)
         _require("iv", nu_g == mu_g, f"nu(g) = {nu_g} != mu_g = {mu_g}")
         values["mu_g"] = mu_g
         record("iv", "g-spectrum", {
@@ -279,9 +279,8 @@ def negative_answer_pipeline(params: FamilyParams) -> dict:
         })
 
         # (vii) Taylor-term filtration levels: strictly increasing, v_2 = beta0
-        P = newton.newton_polyhedron(g)
         m = params.deformation_monomial
-        v = [brieskorn.taylor_term_value(P, m, r) for r in range(4)]
+        v = [brieskorn.taylor_term_value(P_g, m, r) for r in range(4)]
         _require("vii", all(v[i] < v[i + 1] for i in range(3)),
                  f"levels not strictly increasing: {list(map(str, v))}")
         _require("vii", v[2] == beta0, f"v_2 = {v[2]} != beta0 = {beta0}")
@@ -289,7 +288,7 @@ def negative_answer_pipeline(params: FamilyParams) -> dict:
         record("vii", "taylor-levels", {"v": [rat_to_str(x) for x in v]})
 
         # (viii) component exclusion: POSSIBLE only at r = 2
-        excl = brieskorn.component_exclusion(P, m, beta0, params.monoid_generators, 3)
+        excl = brieskorn.component_exclusion(P_g, m, beta0, params.monoid_generators, 3)
         _require("viii", excl.possible_at() == (2,),
                  f"POSSIBLE at {excl.possible_at()} != (2,)")
         record("viii", "component-exclusion", {
@@ -421,8 +420,12 @@ def _golden_items():
             return milnor.milnor_basis(self.h)
 
         @cached_property
+        def P_h(self):
+            return newton.newton_polyhedron(self.h)
+
+        @cached_property
         def sp_h(self):
-            return spectrum.spectrum_newton_2d(self.h, basis=self.basis_h)
+            return spectrum.spectrum_newton_2d(self.P_h, basis=self.basis_h)
 
         @cached_property
         def sp_g(self):
@@ -469,11 +472,11 @@ def _golden_items():
                 "exact multiset match, 141 values" if ok else "mismatch")
 
     def check_nu():
-        return ("141", str(newton.newton_number(ctx.h)))
+        return ("141", str(newton.newton_number(ctx.P_h)))
 
     def check_flags():
-        fh = newton.newton_flags(ctx.h)
-        fg = newton.newton_flags(ctx.g)
+        fh = newton.newton_flags(ctx.P_h)
+        fg = newton.newton_flags(ctx.P_g)
         ok = fh.convenient and fh.nondegenerate and fg.convenient and fg.nondegenerate
         actual = ("both convenient and nondegenerate" if ok else
                   f"h: {fh.convenient}/{fh.nondegenerate}, g: {fg.convenient}/{fg.nondegenerate}")

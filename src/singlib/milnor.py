@@ -37,10 +37,12 @@ A level that fails extrapolates H linearly to zero to choose the next one
 so it does not depend on which levels were built.
 
 Work bound: a level-D build lists all C(D+n, n) monomials of degree <= D in
-n variables before it reduces anything.  Past ``_MAX_JET_MONOMIALS`` (one
-million) ``milnor_basis`` raises ``PreconditionError`` before it allocates
-them, naming the level and the count.  The largest build of the b <= 16
-family sweep lists 154,846 monomials.
+n variables before it reduces anything.  A jump stops at the last level
+whose build lists at most ``_MAX_JET_MONOMIALS`` (one million) monomials,
+and ``truncation_degree`` does not depend on where it stopped.  A first
+level past the bound, or that last level failing, raises
+``PreconditionError`` before the monomials are listed, naming the level
+that would be built and its count.  The largest build of the b <= 16 sweep lists 154,846.
 
 Rows are sparse integer dictionaries keyed by monomials, reduced by the
 fraction-free kernel ``linalg.Echelon`` under the int rank of each monomial
@@ -191,7 +193,12 @@ def milnor_basis(f: SparsePoly, jet_cap: int | None = None) -> JetBasisResult:
         step, drop = JET_STEP, holes[level - 1] - holes[level]
         if drop > 0:
             step = max(JET_STEP, -(-holes[level] // drop))
-        level = min(level + step, cap)
+        # stop at the last level within the monomial bound; past it from there, raise above
+        lo, hi = level, min(level + step, cap) + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if comb(mid + n, n) <= _MAX_JET_MONOMIALS else (lo, mid)
+        level = max(lo, level + 1)
 
 
 def normal_form(p: SparsePoly, f: SparsePoly, basis: JetBasisResult | None = None) -> SparsePoly:

@@ -21,11 +21,16 @@ empty; a t_j with no pure power among the leading monomials means V(J)
 holds a curve, which the shift keeps off the axes; otherwise Q[t]/J has
 dimension s, and V(J) misses the torus iff (t_1...t_d)^s lies in J
 (Stickelberger).  For an edge G is gcd(q, q'): q has no repeated root.
+
+Kouchnirenko's nu sums volumes under the diagram of f restricted to each
+coordinate subspace.  Gamma_+ meets a subspace in a face, Gamma_+ of the
+restricted germ, so nu is read from the one face closure.  P keeps its germ,
+and ``newton_polyhedron(P)`` is P, so the functions take a germ or its P.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
@@ -55,6 +60,7 @@ class NewtonPolyhedron:
     forms: tuple[tuple[int, ...], ...]
     den: int
     faces: tuple[frozenset[ExpVec], ...]  # by size, then points
+    germ: SparsePoly = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -64,8 +70,10 @@ class NewtonFlags:
     degenerate_face: tuple[ExpVec, ...] | None = None  # the first in compact_faces order
 
 
-def newton_polyhedron(f: SparsePoly) -> NewtonPolyhedron:
-    """Compact facets (lex functional order) and faces of the Newton polyhedron of f."""
+def newton_polyhedron(f: SparsePoly | NewtonPolyhedron) -> NewtonPolyhedron:
+    """Compact facets (lex functional order) and faces of Gamma_+(f); a P is returned as is."""
+    if isinstance(f, NewtonPolyhedron):
+        return f
     n = f.nvars
     if n > 3:
         raise UnsupportedDimensionError(f"{n} variables (supported: n <= 3)")
@@ -94,7 +102,7 @@ def newton_polyhedron(f: SparsePoly) -> NewtonPolyhedron:
                 todo.append(face)
     faces = sorted((points for points, rays in closed if not rays),
                    key=lambda s: (len(s), sorted(s)))
-    return NewtonPolyhedron(frozenset(support), tuple(facets), n, forms, den, tuple(faces))
+    return NewtonPolyhedron(frozenset(support), tuple(facets), n, forms, den, tuple(faces), f)
 
 
 def phi_value(P: NewtonPolyhedron, p) -> Fraction:
@@ -308,12 +316,12 @@ def _missed_axes(support, n: int) -> list[int]:
     return [i for i in range(n) if not any(a[i] and not any(a[:i] + a[i + 1:]) for a in support)]
 
 
-def newton_flags(f: SparsePoly) -> NewtonFlags:
+def newton_flags(f: SparsePoly | NewtonPolyhedron) -> NewtonFlags:
     """Convenience and Kouchnirenko nondegeneracy of the Newton boundary."""
     P = newton_polyhedron(f)
-    convenient = not _missed_axes(P.support, f.nvars)
+    convenient = not _missed_axes(P.support, P.nvars)
     for face in compact_faces(P):
-        if not _face_nondegenerate(f, face):
+        if not _face_nondegenerate(P.germ, face):
             return NewtonFlags(convenient, False, tuple(sorted(face)))
     return NewtonFlags(convenient, True)
 
@@ -322,59 +330,29 @@ def newton_flags(f: SparsePoly) -> NewtonFlags:
 # Newton number (Kouchnirenko's nu)
 
 
-def _restricted_support(support, axes: tuple[int, ...]):
-    out = []
-    for a in support:
-        if all(a[i] == 0 for i in range(len(a)) if i not in axes):
-            out.append(tuple(a[i] for i in axes))
-    return out
+def newton_number(f: SparsePoly | NewtonPolyhedron) -> int:
+    """Kouchnirenko's alternating lattice-volume sum nu(Gamma), n <= 3.
 
-
-def _area2_under_diagram(points: list[tuple[int, int]]) -> int:
-    """Twice the area between the axes and the diagram: a fan over its compact edges."""
-    total = 0
-    for _, edge, rays in _facets(sorted(points), 2).values():
-        if not rays:
-            (a0, a1), (b0, b1) = min(edge), max(edge)
-            total += abs(a0 * b1 - a1 * b0)
-    return total
-
-
-def _volume6_under_diagram(P: NewtonPolyhedron) -> int:
-    """Six times the 3-volume below the diagram, a sum of lattice tetrahedra.
-
-    Each compact facet is fanned from its least point v0 over its edges that
-    miss v0, and each triangle (v0, a, b) from the origin: |det(v0, a, b)|.
+    k! V_k is a sum of lattice simplices fanned from the origin: |det(a, b)|
+    over each compact edge [a, b] in a coordinate plane, and |det(v0, a, b)|
+    over each compact facet fanned from its least point v0 over its edges.
     """
-    edges = [E for E in P.faces if len(E) > 1]
-    total = 0
-    for F in P.facets:
-        v0 = min(F.vertices)
-        for E in edges:
-            if E < F.vertices and v0 not in E:
-                total += abs(sum(map(mul, v0, _normal([min(E), max(E)], 3))))
-    return total
-
-
-def newton_number(f: SparsePoly) -> int:
-    """Kouchnirenko's alternating lattice-volume sum nu(Gamma), n <= 3."""
     P = newton_polyhedron(f)
-    n = f.nvars
-    support = sorted(P.support)
-    missed = _missed_axes(support, n)
+    n = P.nvars
+    missed = _missed_axes(P.support, n)
     if missed:
         raise NotConvenientError(f"support misses axis {missed[0]}")
-    # V_k = total k-volume under the diagram in all k-dim coordinate subspaces
-    total = (-1) ** n  # k = 0 term: (-1)^n * 0! * V_0 with V_0 = 1
-    for k in range(1, n + 1):
-        vk_scaled = 0  # k! * V_k
-        for axes in combinations(range(n), k):
-            pts = _restricted_support(support, axes)
-            if k == 1:
-                vk_scaled += min(pts)[0]
-            elif k == 2:
-                vk_scaled += _area2_under_diagram(pts)
-            else:
-                vk_scaled += _volume6_under_diagram(P)
-        total += (-1) ** (n - k) * vk_scaled
-    return total
+    edges = [E for E in P.faces if len(E) > 1]  # 2-faces too, but none lies in a plane
+    vols = [1, 0, 0, 0]  # k! V_k, V_k the k-volume under the diagram in k-dim coordinate spaces
+    for i in range(n):
+        vols[1] += min(a[i] for a in P.support if not any(a[:i] + a[i + 1:]))
+    for i, j in combinations(range(n), 2):
+        for E in edges:
+            if all(a[k] == 0 for a in E for k in range(n) if k not in (i, j)):
+                a, b = min(E), max(E)
+                vols[2] += abs(a[i] * b[j] - a[j] * b[i])
+    for F in P.facets if n == 3 else ():
+        v0 = min(F.vertices)
+        vols[3] += sum(abs(sum(map(mul, v0, _normal([min(E), max(E)], 3))))
+                       for E in edges if E < F.vertices and v0 not in E)
+    return sum((-1) ** (n - k) * v for k, v in enumerate(vols[:n + 1]))

@@ -191,6 +191,10 @@ def _tokenize(text: str):
     return tokens
 
 
+# the deepest parenthesis nesting parsed: three frames a level, within the recursion limit
+_MAX_NESTING = 200
+
+
 class _Parser:
     def __init__(self, text: str, variables: list[str]):
         self.text = text
@@ -200,6 +204,7 @@ class _Parser:
         self.index = {name: i for i, name in enumerate(self.vars)}
         self.toks = _tokenize(text)
         self.k = 0
+        self.depth = 0  # open parentheses
 
     def peek(self):
         return self.toks[self.k]
@@ -286,8 +291,12 @@ class _Parser:
             exp[self.index[val]] = power
             return SparsePoly.monomial(len(self.vars), exp)
         if kind == "op" and val == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise PolyParseError(f"parentheses nested deeper than {_MAX_NESTING}", pos)
             inner = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise PolyParseError("expected a factor", pos)
 

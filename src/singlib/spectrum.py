@@ -39,7 +39,7 @@ from .errors import (
     SpectrumCountMismatchError,
 )
 from .milnor import JetBasisResult, milnor_basis
-from .newton import NewtonFlags, newton_flags, newton_polyhedron
+from .newton import NewtonFlags, NewtonPolyhedron, newton_flags, newton_polyhedron
 from .poly import SparsePoly, weighted_degree
 
 
@@ -129,21 +129,21 @@ def spectrum_wh(f: SparsePoly, w, basis: JetBasisResult | None = None) -> Spectr
 
 
 def spectrum_newton_2d(
-    f: SparsePoly,
+    f: SparsePoly | NewtonPolyhedron,
     flags: NewtonFlags | None = None,
     basis: JetBasisResult | None = None,
 ) -> Spectrum:
-    """Spectrum of a convenient nondegenerate germ in two variables."""
+    """Spectrum of a convenient nondegenerate germ in two variables, or of its polyhedron."""
     if f.nvars != 2:
         raise PreconditionError("spectrum_newton_2d needs exactly two variables")
+    P = newton_polyhedron(f)
     if flags is None:
-        flags = newton_flags(f)
+        flags = newton_flags(P)
     if not (flags.convenient and flags.nondegenerate):
         raise PreconditionError(
             f"need convenient nondegenerate input (convenient={flags.convenient}, "
             f"nondegenerate={flags.nondegenerate})"
         )
-    P = newton_polyhedron(f)
     if not P.forms:
         raise PreconditionError("polyhedron has no compact facets")
     # phi(p) = min over the integer forms at p, divided by P.den
@@ -156,7 +156,7 @@ def spectrum_newton_2d(
             part1.append(v)
     nums = part1 + [2 * D - v for v in part1 if v < D]
     if basis is None:
-        basis = milnor_basis(f)
+        basis = milnor_basis(P.germ)
     if not basis.finite:
         raise PreconditionError(f"Milnor algebra not finite ({basis.status})")
     return _validated(Spectrum.from_ints(nums, D, 2), basis.milnor_number)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import sys
@@ -70,6 +71,14 @@ def test_parse_error_exit_code(capsys):
     assert "error" in err
 
 
+def test_deep_parentheses_exit_2(capsys):
+    code, out, err = run(capsys, "milnor", "(" * 400 + "x^2" + ")" * 400, "--vars", "x")
+    assert code == 2 and out == ""
+    assert "parentheses nested deeper than 200" in err and "position 200" in err
+    code, out, _ = run(capsys, "milnor", "(" * 200 + "x^2" + ")" * 200, "--vars", "x")
+    assert code == 0 and json.loads(out)["milnor_number"] == 1
+
+
 def test_milnor_over_the_monomial_bound_exit_2(capsys, monkeypatch):
     def no_build(*args):
         raise AssertionError("jet build started")
@@ -121,6 +130,44 @@ def test_newton_subcommands(capsys):
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--phi" in err and "comma-separated integers" in err, err
+
+
+# germs of the README and the tests, with the variables they are written in
+NEWTON_GERMS = [
+    ("x^2+y^3", "x,y"),
+    ("x^3+y^4", "x,y"),
+    ("x^4+y^4-x^2*y^2", "x,y"),
+    ("x^6+y^6-x^2*y^2", "x,y"),
+    ("x^10+y^10-x^4*y^4", "x,y"),
+    ("x^14+y^14-x^6*y^6", "x,y"),
+    ("x^2*y^2", "x,y"),
+    ("z^5", "z"),
+    ("x^2+y^2+z^2", "x,y,z"),
+    ("x^14+y^14-x^6*y^6+z^5", "x,y,z"),
+    ("x^4+y^4+z^6+2*x^2*z^2+3*y^2*z^2", "x,y,z"),
+    ("x^4+x^2*y^2+y^4+z^3", "x,y,z"),
+    ("x^3+y^3+z^3-3*x*y*z", "x,y,z"),
+    ("x^2+2*x*y+y^2+z^3", "x,y,z"),
+]
+NEWTON_SHA256 = "a03a9c308e70cb6c514f5275f819d456cf685cd75b432a6084aeaaf559681b32"
+
+
+def test_newton_outputs_pinned(capsys):
+    """``sing newton`` prints the same bytes and exit codes, release to release.
+
+    The digest covers the default output, ``--flags``, ``--number`` and two
+    ``--phi`` points of every germ in ``NEWTON_GERMS``.  A change that is
+    meant to alter this output updates the digest in the same commit; any
+    other change must leave it alone.
+    """
+    digest = hashlib.sha256()
+    for text, names in NEWTON_GERMS:
+        n = names.count(",") + 1
+        for mode in ([], ["--flags"], ["--number"], ["--phi", ",".join(["1"] * n)],
+                     ["--phi", ",".join(["10", "3", "2"][:n])]):
+            code, out, _ = run(capsys, "newton", text, "--vars", names, *mode)
+            digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == NEWTON_SHA256
 
 
 def test_spectrum_methods(capsys):

@@ -100,6 +100,23 @@ def test_certificates_pinned():
     assert digest.hexdigest() == CERTIFICATES_SHA256
 
 
+def test_pipeline_builds_one_polyhedron_per_germ(monkeypatch):
+    # steps (i)-(iv), (vii) and (viii) read the polyhedra of h and g built in step (i)
+    from singlib import newton
+
+    calls = []
+    facets = newton._facets
+
+    def counting(support, n):
+        calls.append(n)
+        return facets(support, n)
+
+    monkeypatch.setattr(newton, "_facets", counting)
+    cert = negative_answer_pipeline(make_family(7, 3, 5))
+    assert cert["status"] == "CERTIFIED"
+    assert calls == [2, 3]
+
+
 def test_certificate_soundness_is_machine_checkable():
     cert = negative_answer_pipeline(make_family(7, 3, 5))
     # verdicts present => every step recorded as passed, checkable from the

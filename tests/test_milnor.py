@@ -107,6 +107,34 @@ def test_jet_build_over_the_monomial_bound_raises(monkeypatch):
         assert "bound of 1000000" in str(e.value)
 
 
+def test_jump_stops_at_the_monomial_bound(monkeypatch):
+    # level 6 fails and would jump to level 10, 1001 monomials over a bound of
+    # 1000; the jump stops at level 9 (715 monomials), which certifies
+    f = parse_poly("x^4+y^4+z^4+w^4", ["x", "y", "z", "w"])
+    full = milnor_basis(f)
+    built = []
+    build = milnor._build_level
+
+    def recording(gens, by_degree, rank, level):
+        built.append(level)
+        return build(gens, by_degree, rank, level)
+
+    monkeypatch.setattr(milnor, "_build_level", recording)
+    monkeypatch.setattr(milnor, "_MAX_JET_MONOMIALS", 1000)
+    r = milnor_basis(f)
+    assert built == [6, 9]
+    assert (r.status, r.milnor_number, r.truncation_degree) == (FINITE, 81, 10)
+    assert r.staircase == full.staircase and r.truncation_degree == full.truncation_degree
+    # under a bound of 500 the last level within it is 8 (495 monomials): it
+    # fails, and only then does the jump raise
+    built.clear()
+    monkeypatch.setattr(milnor, "_MAX_JET_MONOMIALS", 500)
+    with pytest.raises(PreconditionError) as e:
+        milnor_basis(f)
+    assert built == [6, 8]
+    assert "jet level 9 would list 715 monomials, over the bound of 500" in str(e.value)
+
+
 def test_preconditions():
     with pytest.raises(PreconditionError):
         milnor_basis(SparsePoly.zero(2))

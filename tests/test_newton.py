@@ -188,6 +188,8 @@ def test_kouchnirenko_equality_on_corpus():
         ("x^14+y^14-x^6*y^6+z^5", ["x", "y", "z"]),
         # a quadrilateral compact facet, fanned from one vertex
         ("x^4+y^4+z^6+2*x^2*z^2+3*y^2*z^2", ["x", "y", "z"]),
+        # three collinear support points on the z = 0 edge: nu takes its end points
+        ("x^4+x^2*y^2+y^4+z^3", ["x", "y", "z"]),
     ]
     for text, names in corpus:
         f = parse_poly(text, names)
@@ -341,4 +343,8 @@ def test_kouchnirenko_equality_on_seeded_random_germs():
         assert r.status == FINITE, terms
         s = spectrum_newton_2d(f, flags=flags, basis=r)
         assert r.milnor_number == newton_number(f) == len(s), terms
+        # a polyhedron in place of its germ gives the same answers
+        P = newton_polyhedron(f)
+        assert newton_number(P) == newton_number(f) and newton_flags(P) == flags, terms
+        assert spectrum_newton_2d(P, flags=flags, basis=r) == s, terms
         checked += 1
